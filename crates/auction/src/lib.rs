@@ -62,7 +62,6 @@ pub mod wdp;
 
 pub use bid::Bid;
 pub use outcome::{AuctionOutcome, Award};
-pub use pivots::PaymentStrategy;
 pub use sealed::SealedRound;
 pub use shard::MarketTopology;
 pub use valuation::{ClientValue, Valuation};

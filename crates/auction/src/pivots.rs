@@ -47,27 +47,19 @@ use crate::wdp::{
     SolverArena, SolverKind, WdpInstance, WdpView, DP_EPS,
 };
 
-/// How `W*₋ᵢ` pivot welfares are computed for payments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which engine computes `W*₋ᵢ` pivot welfares. Production rounds always
+/// run the incremental engine; this selector exists so tests and benches
+/// can hold it against the naive reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaymentStrategy {
     /// Re-solve the reduced instance from scratch for every pivot — the
-    /// textbook O(n) independent solves. Kept as the differential-testing
-    /// reference and for odd solver kinds.
+    /// textbook O(n) independent solves. The differential-testing
+    /// reference (end to end: [`crate::properties::naive_vcg`]) and the
+    /// fallback for odd solver kinds.
     Naive,
-    /// Incremental leave-one-out engine (the default): shared sorted-order
-    /// / DP-table passes, per-pivot merge. Bit-identical to [`Self::Naive`].
-    #[default]
+    /// Incremental leave-one-out engine: shared sorted-order / DP-table
+    /// passes, per-pivot merge. Bit-identical to [`Self::Naive`].
     Incremental,
-}
-
-/// [`leave_one_out_welfares_on`] on the [`par::Pool::auto`] pool.
-pub fn leave_one_out_welfares(
-    inst: &WdpInstance,
-    targets: &[usize],
-    kind: SolverKind,
-    strategy: PaymentStrategy,
-) -> Vec<f64> {
-    leave_one_out_welfares_on(inst, targets, kind, strategy, par::Pool::auto())
 }
 
 /// Computes `W*₋ᵢ = solve(inst.without_item(i), kind).objective` for every
@@ -84,40 +76,26 @@ pub fn leave_one_out_welfares_on(
     strategy: PaymentStrategy,
     pool: par::Pool,
 ) -> Vec<f64> {
-    leave_one_out_welfares_view_on(&WdpView::full(inst), targets, kind, strategy, pool)
-}
-
-/// [`leave_one_out_welfares_on`] generalized to a sub-instance view:
-/// `W*₋ᵢ` of the view with target `i` (a parent index that must be a view
-/// member) excluded. This is what the shard pipeline (`crate::shard`) runs
-/// per shard and over the champion pool, and what lets the naive engine
-/// skip an item without the O(n) `without_item` clone.
-pub fn leave_one_out_welfares_view_on(
-    view: &WdpView<'_>,
-    targets: &[usize],
-    kind: SolverKind,
-    strategy: PaymentStrategy,
-    pool: par::Pool,
-) -> Vec<f64> {
-    let mut arena = SolverArena::new();
+    let view = WdpView::full(inst);
     let mut out = Vec::new();
-    leave_one_out_welfares_view_into(view, targets, kind, strategy, pool, &mut arena, &mut out);
+    leave_one_out_welfares_view_into(
+        &view,
+        targets,
+        kind,
+        strategy,
+        pool,
+        &mut SolverArena::new(),
+        &mut out,
+    );
     out
 }
 
-/// [`leave_one_out_welfares_view_on`] into caller-recycled buffers: the
-/// pivot lanes of `arena` hold every DP table, snapshot, and
-/// reconstruction buffer, and `out` receives one welfare per target (in
-/// target order, cleared first).
-///
-/// A serial caller (`LOVM_THREADS=1`) that keeps `arena` and `out` alive
-/// across rounds runs the hot engines (top-K splice, budgeted DP merge)
-/// with zero steady-state heap allocations. Parallel per-target fan-out
-/// gives each worker its own [`LooScratch`] via [`par::Pool::run_with`],
-/// so no buffer is shared and — per the pool's determinism contract — the
-/// welfares are bit-identical at any worker count. The `Naive` strategy
-/// and the fallback paths still allocate per call; they are reference /
-/// cold paths.
+/// [`leave_one_out_welfares_on`] generalized to a sub-instance view —
+/// `W*₋ᵢ` of the view with target `i` (a parent index that must be a view
+/// member) excluded — into caller-recycled buffers: `out`
+/// receives one welfare per target (in target order, cleared first).
+/// `Incremental` runs the engine every auction round uses; `Naive` is the
+/// reference re-solve and allocates per call.
 pub fn leave_one_out_welfares_view_into(
     view: &WdpView<'_>,
     targets: &[usize],
@@ -127,34 +105,61 @@ pub fn leave_one_out_welfares_view_into(
     arena: &mut SolverArena,
     out: &mut Vec<f64>,
 ) {
-    // One LOO pivot pass per call: the `solve.pivots_ns` span covers the
-    // whole engine (every strategy funnels through here). Inert unless
-    // telemetry is enabled; records only wall time, never an output bit.
-    let _pivots_span = telemetry::hist!("solve.pivots_ns").span();
     match strategy {
         PaymentStrategy::Naive => {
+            let _pivots_span = telemetry::hist!("solve.pivots_ns").span();
             out.clear();
             out.append(&mut naive_loo(view, targets, kind, pool));
         }
-        PaymentStrategy::Incremental => match (view.budget(), kind) {
-            (None, SolverKind::Exact) | (None, SolverKind::Knapsack { .. }) => {
-                topk_loo(view, targets, pool, arena, out)
-            }
-            (Some(_), SolverKind::Knapsack { grid }) => {
-                merge_loo(view, targets, grid, kind, pool, arena, out)
-            }
-            // `Exact` dispatches reduced instances of ≤ 25 items to
-            // exhaustive search; the DP merge only mirrors the knapsack
-            // path, so it applies once every reduced instance is knapsack-
-            // dispatched (n − 1 > 25).
-            (Some(_), SolverKind::Exact) if view.len() > 26 => {
-                merge_loo(view, targets, 4000, kind, pool, arena, out)
-            }
-            _ => {
-                out.clear();
-                out.append(&mut naive_loo(view, targets, kind, pool));
-            }
-        },
+        PaymentStrategy::Incremental => {
+            incremental_loo_view_into(view, targets, kind, pool, arena, out)
+        }
+    }
+}
+
+/// The incremental engine every auction round runs: `W*₋ᵢ` of `view` for
+/// every target into caller-recycled buffers. The pivot lanes of `arena`
+/// hold every DP table, snapshot, and reconstruction buffer, and `out`
+/// receives one welfare per target (in target order, cleared first).
+///
+/// A serial caller (`LOVM_THREADS=1`) that keeps `arena` and `out` alive
+/// across rounds runs the hot engines (top-K splice, budgeted DP merge)
+/// with zero steady-state heap allocations. Parallel per-target fan-out
+/// gives each worker its own [`LooScratch`] via [`par::Pool::run_with`],
+/// so no buffer is shared and — per the pool's determinism contract — the
+/// welfares are bit-identical at any worker count. Solver kinds without
+/// an incremental formulation fall back to the naive re-solve, which
+/// still allocates per call.
+pub(crate) fn incremental_loo_view_into(
+    view: &WdpView<'_>,
+    targets: &[usize],
+    kind: SolverKind,
+    pool: par::Pool,
+    arena: &mut SolverArena,
+    out: &mut Vec<f64>,
+) {
+    // One LOO pivot pass per call: the `solve.pivots_ns` span covers the
+    // whole engine. Inert unless telemetry is enabled; records only wall
+    // time, never an output bit.
+    let _pivots_span = telemetry::hist!("solve.pivots_ns").span();
+    match (view.budget(), kind) {
+        (None, SolverKind::Exact) | (None, SolverKind::Knapsack { .. }) => {
+            topk_loo(view, targets, pool, arena, out)
+        }
+        (Some(_), SolverKind::Knapsack { grid }) => {
+            merge_loo(view, targets, grid, kind, pool, arena, out)
+        }
+        // `Exact` dispatches reduced instances of ≤ 25 items to
+        // exhaustive search; the DP merge only mirrors the knapsack
+        // path, so it applies once every reduced instance is knapsack-
+        // dispatched (n − 1 > 25).
+        (Some(_), SolverKind::Exact) if view.len() > 26 => {
+            merge_loo(view, targets, 4000, kind, pool, arena, out)
+        }
+        _ => {
+            out.clear();
+            out.append(&mut naive_loo(view, targets, kind, pool));
+        }
     }
 }
 

@@ -1,4 +1,6 @@
-//! Executable mechanism-design property checks.
+//! Executable mechanism-design property checks, plus the naive VCG payment
+//! oracle ([`naive_vcg`]) the differential tests and benches compare the
+//! production payment engine against.
 //!
 //! These are used three ways: in unit/property tests of this crate, in the
 //! integration suite, and by the experiment harness (E4/E5) to *measure*
@@ -6,6 +8,10 @@
 
 use crate::bid::Bid;
 use crate::outcome::AuctionOutcome;
+use crate::pivots::{leave_one_out_welfares_on, PaymentStrategy};
+use crate::valuation::Valuation;
+use crate::vcg::VcgAuction;
+use crate::wdp::{solve, SolverKind};
 
 /// Checks individual rationality at reported costs: every winner is paid at
 /// least its reported cost (within `tol`).
@@ -107,6 +113,35 @@ pub fn default_factor_grid() -> Vec<f64> {
     ]
 }
 
+/// The naive end-to-end VCG reference: one monolithic [`solve`] of the
+/// auction's instance (budget-capped when `budget` is set), one
+/// from-scratch re-solve per winner for its `W*₋ᵢ`, then the auction's own
+/// Clarke award. [`VcgAuction`]'s incremental payment engine must match it
+/// bit for bit; the differential tests and the `payment_engine` bench rows
+/// hold it to that. The configured topology is ignored, so compare against
+/// monolithic auctions only.
+pub fn naive_vcg(
+    auction: &VcgAuction,
+    bids: &[Bid],
+    valuation: &Valuation,
+    budget: Option<f64>,
+    kind: SolverKind,
+) -> AuctionOutcome {
+    let mut inst = auction.instance(bids, valuation);
+    if let Some(b) = budget {
+        inst = inst.with_budget(b);
+    }
+    let sol = solve(&inst, kind);
+    let w_minus = leave_one_out_welfares_on(
+        &inst,
+        &sol.selected,
+        kind,
+        PaymentStrategy::Naive,
+        par::Pool::serial(),
+    );
+    auction.awards(bids, valuation, &sol, &w_minus)
+}
+
 /// Checks that total expenditure across rounds stays within `budget` (within
 /// `tol`).
 pub fn budget_feasible(outcomes: &[AuctionOutcome], budget: f64, tol: f64) -> bool {
@@ -117,8 +152,8 @@ pub fn budget_feasible(outcomes: &[AuctionOutcome], budget: f64, tol: f64) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::valuation::{ClientValue, Valuation};
-    use crate::vcg::{VcgAuction, VcgConfig};
+    use crate::valuation::ClientValue;
+    use crate::vcg::VcgConfig;
 
     fn setup() -> (Vec<Bid>, Valuation, VcgAuction) {
         let bids = vec![
@@ -273,14 +308,12 @@ mod tests {
     /// Property: DSIC survives the incremental payment engine — on random
     /// markets where the feasible set is report-independent (top-K cap,
     /// budget present in the code path but never binding), the misreport
-    /// grid peaks at the truthful report when payments come from
-    /// `PaymentStrategy::Incremental`; with a *binding* budget the feasible
+    /// grid peaks at the truthful report when payments come from the
+    /// incremental engine; with a *binding* budget the feasible
     /// set depends on the reports (truthfulness is out of scope there), but
     /// individual rationality must still hold (seeded random instances).
     #[test]
     fn budgeted_vcg_incremental_truthful_on_probe_grid() {
-        use crate::pivots::PaymentStrategy;
-        use crate::wdp::SolverKind;
         use simrng::{rngs::StdRng, RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x17C0);
         for _ in 0..15 {
@@ -312,12 +345,11 @@ mod tests {
             // `incremental_merge_engine_truthful_with_slack_budget`.)
             let slack_budget = 1e6;
             let mech = |b: &[Bid]| {
-                auction.run_with_budget_strategy_on(
+                auction.run_with_budget_on(
                     b,
                     &valuation,
                     slack_budget,
                     SolverKind::Exact,
-                    PaymentStrategy::Incremental,
                     par::Pool::serial(),
                 )
             };
@@ -332,12 +364,11 @@ mod tests {
             }
             // Binding budget: IR still holds (the clamped pivot keeps every
             // payment at or above the reported cost).
-            let tight = auction.run_with_budget_strategy_on(
+            let tight = auction.run_with_budget_on(
                 &bids,
                 &valuation,
                 rng.random_range(0.5..4.0),
                 SolverKind::Exact,
-                PaymentStrategy::Incremental,
                 par::Pool::serial(),
             );
             assert!(individually_rational(&tight, 1e-9));
@@ -352,8 +383,6 @@ mod tests {
     /// (seeded random instances).
     #[test]
     fn incremental_merge_engine_truthful_with_slack_budget() {
-        use crate::pivots::PaymentStrategy;
-        use crate::wdp::SolverKind;
         use simrng::{rngs::StdRng, RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x3E116E);
         for _ in 0..4 {
@@ -379,12 +408,11 @@ mod tests {
                 ..VcgConfig::default()
             });
             let mech = |b: &[Bid]| {
-                auction.run_with_budget_strategy_on(
+                auction.run_with_budget_on(
                     b,
                     &valuation,
                     1e6,
                     SolverKind::Exact,
-                    PaymentStrategy::Incremental,
                     par::Pool::serial(),
                 )
             };
@@ -405,14 +433,12 @@ mod tests {
     }
 
     /// Property: the incremental engine's *incentive profile* matches the
-    /// naive engine's bit for bit — every probed misreport yields the same
-    /// utility under both strategies, even on the grid-approximate knapsack
-    /// path where neither is exactly truthful. Individual rationality holds
-    /// under both (seeded random instances).
+    /// naive oracle's bit for bit — every probed misreport yields the same
+    /// utility under both, even on the grid-approximate knapsack path where
+    /// neither is exactly truthful. Individual rationality holds under both
+    /// (seeded random instances).
     #[test]
     fn incremental_engine_preserves_incentives_bitwise_on_knapsack_path() {
-        use crate::pivots::PaymentStrategy;
-        use crate::wdp::SolverKind;
         use simrng::{rngs::StdRng, RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xB175);
         for round in 0..6 {
@@ -438,31 +464,23 @@ mod tests {
                 ..VcgConfig::default()
             });
             let budget = 0.4 * bids.iter().map(|b| b.cost).sum::<f64>();
-            let run = |strategy: PaymentStrategy| {
-                move |b: &[Bid]| {
-                    auction.run_with_budget_strategy_on(
-                        b,
-                        &valuation,
-                        budget,
-                        SolverKind::Exact,
-                        strategy,
-                        par::Pool::serial(),
-                    )
-                }
+            let incremental = |b: &[Bid]| {
+                auction.run_with_budget_on(
+                    b,
+                    &valuation,
+                    budget,
+                    SolverKind::Exact,
+                    par::Pool::serial(),
+                )
             };
-            assert!(individually_rational(
-                &run(PaymentStrategy::Incremental)(&bids),
-                1e-9
-            ));
+            let oracle =
+                |b: &[Bid]| naive_vcg(&auction, b, &valuation, Some(budget), SolverKind::Exact);
+            assert!(individually_rational(&incremental(&bids), 1e-9));
+            assert!(individually_rational(&oracle(&bids), 1e-9));
             let probe_target = rng.random_range(0..n);
             let grid = default_factor_grid();
-            let naive = probe_truthfulness(&bids, probe_target, &grid, run(PaymentStrategy::Naive));
-            let incremental = probe_truthfulness(
-                &bids,
-                probe_target,
-                &grid,
-                run(PaymentStrategy::Incremental),
-            );
+            let naive = probe_truthfulness(&bids, probe_target, &grid, oracle);
+            let incremental = probe_truthfulness(&bids, probe_target, &grid, incremental);
             assert_eq!(
                 naive.truthful_utility.to_bits(),
                 incremental.truthful_utility.to_bits(),

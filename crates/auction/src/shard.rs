@@ -32,7 +32,7 @@
 //! by the property suite and reported by `exp_e14_sharding`. `Sharded{1}`
 //! always degrades to the monolithic path exactly.
 
-use crate::pivots::{leave_one_out_welfares_view_into, PaymentStrategy};
+use crate::pivots::incremental_loo_view_into;
 use crate::wdp::{SolverArena, SolverKind, WdpInstance, WdpSolution, WdpView};
 
 /// Name of the environment variable selecting the default shard count for
@@ -221,17 +221,9 @@ pub fn solve_sharded_on(
     inst: &WdpInstance,
     kind: SolverKind,
     topology: MarketTopology,
-    strategy: PaymentStrategy,
     pool: par::Pool,
 ) -> ShardedRound {
-    solve_sharded_arena_on(
-        inst,
-        kind,
-        topology,
-        strategy,
-        pool,
-        &mut SolverArena::new(),
-    )
+    solve_sharded_arena_on(inst, kind, topology, pool, &mut SolverArena::new())
 }
 
 /// [`solve_sharded_on`] through a caller-recycled [`SolverArena`]: a serial
@@ -244,7 +236,6 @@ pub fn solve_sharded_arena_on(
     inst: &WdpInstance,
     kind: SolverKind,
     topology: MarketTopology,
-    strategy: PaymentStrategy,
     pool: par::Pool,
     arena: &mut SolverArena,
 ) -> ShardedRound {
@@ -258,11 +249,10 @@ pub fn solve_sharded_arena_on(
         let view = WdpView::full(inst);
         let solution = arena.solve_view(&view, kind);
         let mut loo_welfares = Vec::new();
-        leave_one_out_welfares_view_into(
+        incremental_loo_view_into(
             &view,
             &solution.selected,
             kind,
-            strategy,
             pool,
             arena,
             &mut loo_welfares,
@@ -305,15 +295,7 @@ pub fn solve_sharded_arena_on(
             let view = WdpView::of_subset(inst, group);
             let sol = shard_arena.solve_view(&view, kind);
             let mut loo = Vec::new();
-            leave_one_out_welfares_view_into(
-                &view,
-                &sol.selected,
-                kind,
-                strategy,
-                inner,
-                shard_arena,
-                &mut loo,
-            );
+            incremental_loo_view_into(&view, &sol.selected, kind, inner, shard_arena, &mut loo);
             let pivot_mass = loo.iter().map(|&w| (sol.objective - w).max(0.0)).sum();
             let stat = ShardStat {
                 size: group.len(),
@@ -346,11 +328,10 @@ pub fn solve_sharded_arena_on(
     let rview = WdpView::of_subset(inst, &champions);
     let solution = arena.solve_view(&rview, kind);
     let mut loo_welfares = Vec::new();
-    leave_one_out_welfares_view_into(
+    incremental_loo_view_into(
         &rview,
         &solution.selected,
         kind,
-        strategy,
         pool,
         arena,
         &mut loo_welfares,
@@ -465,7 +446,6 @@ mod tests {
                 &inst,
                 SolverKind::Exact,
                 MarketTopology::Sharded { count: 1 },
-                PaymentStrategy::Incremental,
                 par::Pool::serial(),
             );
             let mono = solve(&inst, SolverKind::Exact);
@@ -490,7 +470,6 @@ mod tests {
                     &inst,
                     SolverKind::Exact,
                     MarketTopology::Sharded { count },
-                    PaymentStrategy::Incremental,
                     par::Pool::serial(),
                 );
                 assert_eq!(
@@ -514,7 +493,6 @@ mod tests {
             &inst,
             SolverKind::Exact,
             MarketTopology::Sharded { count: 4 },
-            PaymentStrategy::Incremental,
             par::Pool::serial(),
         );
         assert_eq!(round.shards, 4);
@@ -546,7 +524,6 @@ mod tests {
                 &inst,
                 kind,
                 MarketTopology::Sharded { count: 4 },
-                PaymentStrategy::Incremental,
                 par::Pool::serial(),
             );
             assert!(
@@ -575,14 +552,12 @@ mod tests {
             &inst,
             kind,
             MarketTopology::Sharded { count: 8 },
-            PaymentStrategy::Incremental,
             par::Pool::serial(),
         );
         let pooled = solve_sharded_on(
             &inst,
             kind,
             MarketTopology::Sharded { count: 8 },
-            PaymentStrategy::Incremental,
             par::Pool::with_threads(4),
         );
         assert_eq!(serial.solution, pooled.solution);

@@ -18,10 +18,10 @@
 
 use crate::bid::Bid;
 use crate::outcome::{AuctionOutcome, Award};
-use crate::pivots::{leave_one_out_welfares_on, leave_one_out_welfares_view_into, PaymentStrategy};
-use crate::shard::{solve_sharded_arena_on, solve_sharded_on, MarketTopology};
+use crate::pivots::incremental_loo_view_into;
+use crate::shard::{solve_sharded_arena_on, MarketTopology};
 use crate::valuation::Valuation;
-use crate::wdp::{solve, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
+use crate::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
 
 /// Reusable workspace for the streamed round loop: the solver arena plus
 /// the instance/solution/welfare buffers one auction round churns through.
@@ -115,27 +115,6 @@ impl VcgAuction {
         &self.config
     }
 
-    /// Winner determination plus leave-one-out pivot welfares under the
-    /// configured market topology. Monolithic (and single-shard) rounds
-    /// take the direct solve + pivot path; larger shard counts run the
-    /// partition → per-shard solve → champion-reconciliation pipeline.
-    fn solve_and_pivots(
-        &self,
-        inst: &WdpInstance,
-        kind: SolverKind,
-        strategy: PaymentStrategy,
-        pool: par::Pool,
-    ) -> (WdpSolution, Vec<f64>) {
-        if self.config.topology.effective_shards(inst.items.len()) <= 1 {
-            let sol = solve(inst, kind);
-            let w_minus = leave_one_out_welfares_on(inst, &sol.selected, kind, strategy, pool);
-            (sol, w_minus)
-        } else {
-            let round = solve_sharded_on(inst, kind, self.config.topology, strategy, pool);
-            (round.solution, round.loo_welfares)
-        }
-    }
-
     /// The WDP item for one bid: its virtual-welfare score and money cost.
     /// Bids whose reported cost exceeds the reserve price get weight
     /// −∞-like exclusion (never selected).
@@ -155,18 +134,24 @@ impl VcgAuction {
 
     /// Builds the winner-determination instance for the given bids.
     pub fn instance(&self, bids: &[Bid], valuation: &Valuation) -> WdpInstance {
-        let items = bids.iter().map(|b| self.item_for(b, valuation)).collect();
-        let mut inst = WdpInstance::new(items);
-        if let Some(k) = self.config.max_winners {
-            inst = inst.with_max_winners(k);
-        }
-        inst
+        self.constrain(WdpInstance::new(
+            bids.iter().map(|b| self.item_for(b, valuation)).collect(),
+        ))
     }
 
-    /// Clarke awards for a solved no-budget round: `p_i = c_i + pivot/Q`,
-    /// reserve-capped. Shared by [`VcgAuction::run_with_strategy_on`] and
-    /// the scratch path so both produce the identical float sequence.
-    fn awards(
+    /// Applies the configured winner cap to an instance.
+    fn constrain(&self, inst: WdpInstance) -> WdpInstance {
+        match self.config.max_winners {
+            Some(k) => inst.with_max_winners(k),
+            None => inst,
+        }
+    }
+
+    /// Clarke awards for a solved round: `p_i = c_i + pivot/Q`,
+    /// reserve-capped. Every entry point, and the naive payment oracle in
+    /// [`crate::properties`], prices winners here, so all of them produce
+    /// the identical float sequence.
+    pub(crate) fn awards(
         &self,
         bids: &[Bid],
         valuation: &Valuation,
@@ -181,8 +166,9 @@ impl VcgAuction {
             .zip(w_minus)
             .map(|(&i, &w_minus_i)| {
                 let bid = &bids[i];
-                // Exact top-K gives W* ≥ W*₋ᵢ; the clamp only absorbs
-                // last-ulp float noise when the pivot is a mathematical tie.
+                // An exact solver gives W* ≥ W*₋ᵢ; the clamp absorbs
+                // last-ulp float noise on ties and keeps an approximate
+                // solver individually rational.
                 let pivot = (w_star - w_minus_i).max(0.0);
                 let mut payment = bid.cost + pivot / q;
                 // The reserve caps the critical report, hence the payment.
@@ -212,84 +198,26 @@ impl VcgAuction {
     pub fn run(&self, bids: &[Bid], valuation: &Valuation) -> AuctionOutcome {
         // Serial pool: per-pivot work here is O(K) — far below the
         // threshold where fan-out pays for itself in this hot loop.
-        self.run_with_strategy_on(
-            bids,
-            valuation,
-            PaymentStrategy::Incremental,
-            par::Pool::serial(),
-        )
+        let scratch = &mut RoundScratch::new();
+        self.run_with_scratch_on(bids, valuation, par::Pool::serial(), scratch)
     }
 
-    /// [`VcgAuction::run`] with an explicit pivot-welfare strategy and
-    /// worker pool. Both strategies produce bit-identical payments; `Naive`
-    /// re-solves the winner determination once per winner and exists as the
-    /// differential-testing reference.
-    pub fn run_with_strategy_on(
-        &self,
-        bids: &[Bid],
-        valuation: &Valuation,
-        strategy: PaymentStrategy,
-        pool: par::Pool,
-    ) -> AuctionOutcome {
-        let inst = self.instance(bids, valuation);
-        let (sol, w_minus) = self.solve_and_pivots(&inst, SolverKind::Exact, strategy, pool);
-        self.awards(bids, valuation, &sol, &w_minus)
-    }
-
-    /// [`VcgAuction::run_with_strategy_on`] through a caller-recycled
-    /// [`RoundScratch`]: the same auction, the same payments bit for bit,
-    /// with the instance build, winner determination, and pivot welfares
-    /// all running on recycled buffers. A monolithic caller that keeps the
-    /// scratch across rounds reaches zero steady-state solver allocations
-    /// per round; sharded topologies get per-worker arenas (correctness
-    /// under `LOVM_THREADS`, not zero-alloc — scoped workers cannot
-    /// persist buffers across rounds).
+    /// [`VcgAuction::run`] on an explicit worker pool through a
+    /// caller-recycled [`RoundScratch`]: the same auction, the same
+    /// payments bit for bit, with the instance build, winner determination,
+    /// and pivot welfares all running on recycled buffers. A monolithic
+    /// caller that keeps the scratch across rounds reaches zero
+    /// steady-state solver allocations per round; sharded topologies get
+    /// per-worker arenas (correctness under `LOVM_THREADS`, not zero-alloc
+    /// — scoped workers cannot persist buffers across rounds).
     pub fn run_with_scratch_on(
         &self,
         bids: &[Bid],
         valuation: &Valuation,
-        strategy: PaymentStrategy,
         pool: par::Pool,
         scratch: &mut RoundScratch,
     ) -> AuctionOutcome {
-        // Rebuild the instance inside the recycled item buffer; it is
-        // moved back into the scratch before returning.
-        let mut items = std::mem::take(&mut scratch.items);
-        items.clear();
-        items.extend(bids.iter().map(|b| self.item_for(b, valuation)));
-        let mut inst = WdpInstance::new(items);
-        if let Some(k) = self.config.max_winners {
-            inst = inst.with_max_winners(k);
-        }
-        let kind = SolverKind::Exact;
-        let outcome = if self.config.topology.effective_shards(inst.items.len()) <= 1 {
-            let view = WdpView::full(&inst);
-            scratch
-                .arena
-                .solve_view_into(&view, kind, &mut scratch.solution);
-            leave_one_out_welfares_view_into(
-                &view,
-                &scratch.solution.selected,
-                kind,
-                strategy,
-                pool,
-                &mut scratch.arena,
-                &mut scratch.welfares,
-            );
-            self.awards(bids, valuation, &scratch.solution, &scratch.welfares)
-        } else {
-            let round = solve_sharded_arena_on(
-                &inst,
-                kind,
-                self.config.topology,
-                strategy,
-                pool,
-                &mut scratch.arena,
-            );
-            self.awards(bids, valuation, &round.solution, &round.loo_welfares)
-        };
-        scratch.items = inst.items;
-        outcome
+        self.run_core(bids, valuation, None, SolverKind::Exact, pool, scratch)
     }
 
     /// Runs the auction with an arbitrary (budget-capped) instance and the
@@ -300,10 +228,10 @@ impl VcgAuction {
     /// [`crate::critical`]).
     ///
     /// Pivot welfares come from the incremental leave-one-out engine
-    /// ([`crate::pivots`], `PaymentStrategy::Incremental`), which shares
-    /// one forward/backward DP pass across all winners instead of
-    /// re-solving per winner — same payments, bit for bit, at a fraction of
-    /// the cost. The per-winner merges run on [`par::Pool::auto`]; use
+    /// ([`crate::pivots`]), which shares one forward/backward DP pass
+    /// across all winners instead of re-solving per winner — same
+    /// payments, bit for bit, at a fraction of the cost. The per-winner
+    /// merges run on [`par::Pool::auto`]; use
     /// [`VcgAuction::run_with_budget_on`] to pin the worker count. Output
     /// is bit-identical at any worker count.
     pub fn run_with_budget(
@@ -326,55 +254,54 @@ impl VcgAuction {
         solver: SolverKind,
         pool: par::Pool,
     ) -> AuctionOutcome {
-        self.run_with_budget_strategy_on(
-            bids,
-            valuation,
-            budget,
-            solver,
-            PaymentStrategy::Incremental,
-            pool,
-        )
+        let scratch = &mut RoundScratch::new();
+        self.run_core(bids, valuation, Some(budget), solver, pool, scratch)
     }
 
-    /// [`VcgAuction::run_with_budget_on`] with an explicit pivot-welfare
-    /// strategy. `PaymentStrategy::Naive` re-solves the reduced instance
-    /// once per winner (the pre-incremental behavior); the differential
-    /// suite holds both strategies to bit-identical outcomes.
-    pub fn run_with_budget_strategy_on(
+    /// The one round path behind every entry point: build the instance in
+    /// the scratch's item buffer, solve it and its leave-one-out pivots on
+    /// the scratch arena (or through the sharded pipeline when the topology
+    /// splits the market), and price the winners with
+    /// [`VcgAuction::awards`].
+    fn run_core(
         &self,
         bids: &[Bid],
         valuation: &Valuation,
-        budget: f64,
-        solver: SolverKind,
-        strategy: PaymentStrategy,
+        budget: Option<f64>,
+        kind: SolverKind,
         pool: par::Pool,
+        scratch: &mut RoundScratch,
     ) -> AuctionOutcome {
-        let inst = self.instance(bids, valuation).with_budget(budget);
-        // Each winner's pivot needs the optimum of the instance without it
-        // — the round's dominant cost, and the engine's whole reason to
-        // exist.
-        let (sol, w_minus) = self.solve_and_pivots(&inst, solver, strategy, pool);
-        let w_star = sol.objective;
-        let q = self.config.cost_weight;
-        let winners = sol
-            .selected
-            .iter()
-            .zip(w_minus)
-            .map(|(&i, w_minus_i)| {
-                let bid = &bids[i];
-                // With an exact solver the pivot is in [0, w_i]; clamp at 0
-                // to stay IR if an approximate solver is supplied anyway.
-                let pivot = (w_star - w_minus_i).max(0.0);
-                let payment = bid.cost + pivot / q;
-                Award {
-                    bidder: bid.bidder,
-                    cost: bid.cost,
-                    value: valuation.client_value(bid),
-                    payment,
-                }
-            })
-            .collect();
-        AuctionOutcome::new(winners, w_star)
+        // Rebuild the instance inside the recycled item buffer; it is
+        // moved back into the scratch before returning.
+        let mut items = std::mem::take(&mut scratch.items);
+        items.clear();
+        items.extend(bids.iter().map(|b| self.item_for(b, valuation)));
+        let mut inst = self.constrain(WdpInstance::new(items));
+        if let Some(b) = budget {
+            inst = inst.with_budget(b);
+        }
+        let outcome = if self.config.topology.effective_shards(inst.items.len()) <= 1 {
+            let view = WdpView::full(&inst);
+            scratch
+                .arena
+                .solve_view_into(&view, kind, &mut scratch.solution);
+            incremental_loo_view_into(
+                &view,
+                &scratch.solution.selected,
+                kind,
+                pool,
+                &mut scratch.arena,
+                &mut scratch.welfares,
+            );
+            self.awards(bids, valuation, &scratch.solution, &scratch.welfares)
+        } else {
+            let round =
+                solve_sharded_arena_on(&inst, kind, self.config.topology, pool, &mut scratch.arena);
+            self.awards(bids, valuation, &round.solution, &round.loo_welfares)
+        };
+        scratch.items = inst.items;
+        outcome
     }
 }
 
@@ -529,6 +456,22 @@ mod tests {
         });
         let o = auction.run(&bids, &linear());
         assert_eq!(o.payment_of(0), Some(5.0));
+    }
+
+    #[test]
+    fn reserve_caps_budgeted_payment() {
+        // The same market as `reserve_caps_payment` under a slack budget:
+        // the budgeted path must honor the reserve cap too.
+        let bids = vec![bid(0, 2.0, 10)];
+        let auction = VcgAuction::new(VcgConfig {
+            reserve_price: Some(5.0),
+            ..VcgConfig::default()
+        });
+        for solver in [SolverKind::Exact, SolverKind::Knapsack { grid: 64 }] {
+            let o =
+                auction.run_with_budget_on(&bids, &linear(), 100.0, solver, par::Pool::serial());
+            assert_eq!(o.payment_of(0), Some(5.0), "{solver:?}");
+        }
     }
 
     #[test]

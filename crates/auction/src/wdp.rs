@@ -324,7 +324,9 @@ pub fn solve(inst: &WdpInstance, kind: SolverKind) -> WdpSolution {
 /// * top-K selection when no budget constraint is present (exact),
 /// * exhaustive search when ≤ 25 items (exact),
 /// * knapsack DP with a fine grid otherwise (exact up to cost rounding;
-///   rounding is upward so the returned selection is always feasible).
+///   costs round *down* to grid cells and the selection is then repaired
+///   to true feasibility by dropping lowest-density items, so the returned
+///   selection is always feasible).
 ///
 /// # Panics
 ///

@@ -1,7 +1,10 @@
 //! Steady-state allocation audit for the arena-backed solver.
 //!
 //! A counting `#[global_allocator]` wraps `System` and tallies every
-//! `alloc`/`realloc`. The test drives a 100-round streamed-style loop —
+//! `alloc`/`realloc` made on the measuring thread while its audit flag is
+//! up. The flag is thread-local, so tests running in parallel in this
+//! binary never leak their allocations into the audit window. The test
+//! drives a 100-round streamed-style loop —
 //! solve + leave-one-out pivot welfares each round, exactly what a sealed
 //! LOVM round does — through one persistent [`SolverArena`] on a serial
 //! pool, and asserts the allocation counter does not move at all after
@@ -15,15 +18,33 @@
 //! allocator cannot perturb any other test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Raised only around the audited loop, on the thread running it.
+    /// `const`-initialised, so reading it never allocates.
+    static AUDITING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is being audited. `try_with`
+/// keeps the allocator safe during thread-local teardown.
+fn count() {
+    if AUDITING.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; `count` neither
+// allocates nor unwinds, so the allocator never re-enters itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -135,6 +156,7 @@ fn streamed_rounds_allocate_nothing_after_warmup() {
             }
         }
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        AUDITING.set(true);
         for round in 0..100 {
             let i = round % views.len();
             run_round(
@@ -157,6 +179,7 @@ fn streamed_rounds_allocate_nothing_after_warmup() {
                 now - before
             );
         }
+        AUDITING.set(false);
     }
     assert_ne!(last_objective, 0, "solves produced no output?");
 }

@@ -5,10 +5,11 @@
 //! K + budget) on seeded random instances:
 //!
 //! * the **incremental** engine (`PaymentStrategy::Incremental`) — the
-//!   production path,
-//! * the **naive** per-winner re-solve (`PaymentStrategy::Naive`) — the
-//!   reference the incremental engine must match *bit for bit*, welfares
-//!   and payments alike,
+//!   production path every `VcgAuction` entry point runs,
+//! * the **naive** per-winner re-solve (`PaymentStrategy::Naive`, and
+//!   end to end `auction::properties::naive_vcg`) — the reference the
+//!   incremental engine must match *bit for bit*, welfares and payments
+//!   alike,
 //! * an independent **brute-force oracle** (subset enumeration, shares no
 //!   code with `auction`) — matched within float tolerance wherever the
 //!   underlying solver is exact, so the two engines cannot drift together.
@@ -19,6 +20,7 @@
 
 use auction::bid::Bid;
 use auction::pivots::{leave_one_out_welfares_on, PaymentStrategy};
+use auction::properties::naive_vcg;
 use auction::valuation::{ClientValue, Valuation};
 use auction::vcg::{VcgAuction, VcgConfig};
 use auction::wdp::{solve, SolverKind, WdpInstance, WdpItem};
@@ -227,9 +229,9 @@ fn exact_dispatch_large_budgeted_bit_identical() {
     }
 }
 
-/// End-to-end through the auction: `run_with_budget_strategy_on` must hand
-/// out bit-identical payments (not just welfares) under both strategies, on
-/// both worker counts.
+/// End-to-end through the auction: `run_with_budget_on` must hand out
+/// payments (not just welfares) bit-identical to the naive oracle, on both
+/// worker counts.
 #[test]
 fn vcg_payments_bit_identical_across_strategies() {
     let valuation = Valuation::Linear(ClientValue {
@@ -257,22 +259,9 @@ fn vcg_payments_bit_identical_across_strategies() {
         });
         let budget = rng.random_range(0.2..0.6) * bids.iter().map(|b| b.cost).sum::<f64>();
         for pool in [par::Pool::serial(), par::Pool::with_threads(4)] {
-            let naive = auction.run_with_budget_strategy_on(
-                &bids,
-                &valuation,
-                budget,
-                SolverKind::Exact,
-                PaymentStrategy::Naive,
-                pool,
-            );
-            let incremental = auction.run_with_budget_strategy_on(
-                &bids,
-                &valuation,
-                budget,
-                SolverKind::Exact,
-                PaymentStrategy::Incremental,
-                pool,
-            );
+            let naive = naive_vcg(&auction, &bids, &valuation, Some(budget), SolverKind::Exact);
+            let incremental =
+                auction.run_with_budget_on(&bids, &valuation, budget, SolverKind::Exact, pool);
             assert!(
                 !naive.winners.is_empty(),
                 "degenerate instance, round {round}"
@@ -296,8 +285,8 @@ fn vcg_payments_bit_identical_across_strategies() {
     }
 }
 
-/// The no-budget auction path (`run_with_strategy_on`) is likewise
-/// strategy-invariant, including under a reserve price.
+/// The no-budget auction path (`run`) likewise matches the naive oracle,
+/// including under a reserve price.
 #[test]
 fn vcg_topk_payments_bit_identical_across_strategies() {
     let valuation = Valuation::default();
@@ -321,18 +310,8 @@ fn vcg_topk_payments_bit_identical_across_strategies() {
             reserve_price: if rng.random() { Some(2.0) } else { None },
             ..VcgConfig::default()
         });
-        let naive = auction.run_with_strategy_on(
-            &bids,
-            &valuation,
-            PaymentStrategy::Naive,
-            par::Pool::serial(),
-        );
-        let incremental = auction.run_with_strategy_on(
-            &bids,
-            &valuation,
-            PaymentStrategy::Incremental,
-            par::Pool::serial(),
-        );
+        let naive = naive_vcg(&auction, &bids, &valuation, None, SolverKind::Exact);
+        let incremental = auction.run(&bids, &valuation);
         assert_eq!(naive.winners.len(), incremental.winners.len());
         for (a, b) in naive.winners.iter().zip(&incremental.winners) {
             assert_eq!(a.bidder, b.bidder, "winner set diverged, round {round}");
@@ -343,11 +322,6 @@ fn vcg_topk_payments_bit_identical_across_strategies() {
                 a.bidder
             );
         }
-        // The default path is the incremental one.
-        let default_run = auction.run(&bids, &valuation);
-        assert_eq!(
-            default_run, incremental,
-            "run() default diverged, round {round}"
-        );
+        assert_eq!(naive, incremental, "outcome diverged, round {round}");
     }
 }

@@ -15,7 +15,7 @@
 use auction::bid::Bid;
 use auction::shard::MarketTopology;
 use auction::valuation::Valuation;
-use auction::vcg::{VcgAuction, VcgConfig};
+use auction::vcg::{RoundScratch, VcgAuction, VcgConfig};
 use auction::wdp::SolverKind;
 use auction::AuctionOutcome;
 use simrng::rngs::StdRng;
@@ -87,19 +87,10 @@ fn sharded_one_bit_identical_to_monolithic_all_combos() {
                             one.run_with_budget_on(&bids, &valuation, budget, kind, pool),
                         )
                     } else {
+                        let mut scratch = RoundScratch::new();
                         (
-                            mono.run_with_strategy_on(
-                                &bids,
-                                &valuation,
-                                auction::PaymentStrategy::Incremental,
-                                pool,
-                            ),
-                            one.run_with_strategy_on(
-                                &bids,
-                                &valuation,
-                                auction::PaymentStrategy::Incremental,
-                                pool,
-                            ),
+                            mono.run_with_scratch_on(&bids, &valuation, pool, &mut scratch),
+                            one.run_with_scratch_on(&bids, &valuation, pool, &mut scratch),
                         )
                     };
                     assert_outcomes_bit_identical(

@@ -2,16 +2,17 @@
 //! pivots), the incremental-vs-naive leave-one-out engine comparison, and
 //! critical-value bisection payments.
 //!
-//! Row names carry the payment engine in use (`naive` = per-winner
-//! re-solve, `incremental` = shared forward/backward pass —
-//! `auction::pivots`). The `payment_engine` group is the scaling report the
-//! CI gate reads: at n = 1024 the incremental engine must beat the naive
-//! one on a single worker, because the win is algorithmic (O(n·G) total vs
-//! O(n²·G)), not core-count-dependent.
+//! Row names carry the payment engine in use (`naive` = the per-winner
+//! re-solve oracle `auction::properties::naive_vcg`, `incremental` = the
+//! auction's shared forward/backward pass — `auction::pivots`). The
+//! `payment_engine` group is the scaling report the CI gate reads: at
+//! n = 1024 the incremental engine must beat the naive one on a single
+//! worker, because the win is algorithmic (O(n·G) total vs O(n²·G)), not
+//! core-count-dependent.
 
 use auction::bid::Bid;
 use auction::critical::critical_value;
-use auction::pivots::PaymentStrategy;
+use auction::properties::naive_vcg;
 use auction::shard::MarketTopology;
 use auction::valuation::Valuation;
 use auction::vcg::{VcgAuction, VcgConfig};
@@ -59,24 +60,16 @@ fn main() {
         let kind = SolverKind::Knapsack { grid: 512 };
         let naive_ns = engines
             .bench(&format!("{n}_naive"), || {
-                auction.run_with_budget_strategy_on(
-                    black_box(&all),
-                    &valuation,
-                    budget,
-                    kind,
-                    PaymentStrategy::Naive,
-                    Pool::serial(),
-                )
+                naive_vcg(&auction, black_box(&all), &valuation, Some(budget), kind)
             })
             .median_ns;
         let incremental_ns = engines
             .bench(&format!("{n}_incremental"), || {
-                auction.run_with_budget_strategy_on(
+                auction.run_with_budget_on(
                     black_box(&all),
                     &valuation,
                     budget,
                     kind,
-                    PaymentStrategy::Incremental,
                     Pool::serial(),
                 )
             })
@@ -106,12 +99,11 @@ fn main() {
             });
             engines
                 .bench(&format!("{n}_{label}_incremental"), || {
-                    auction.run_with_budget_strategy_on(
+                    auction.run_with_budget_on(
                         black_box(&all),
                         &valuation,
                         budget,
                         kind,
-                        PaymentStrategy::Incremental,
                         Pool::serial(),
                     )
                 })

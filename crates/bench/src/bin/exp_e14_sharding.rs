@@ -10,7 +10,6 @@
 //! `LOVM_SHARDS`), so the output is shard-count and thread-count
 //! invariant and can be golden-pinned; only the timing column is masked.
 
-use auction::pivots::PaymentStrategy;
 use auction::shard::{solve_sharded_on, MarketTopology, ShardedRound};
 use auction::valuation::Valuation;
 use auction::vcg::{VcgAuction, VcgConfig};
@@ -77,7 +76,6 @@ fn main() {
         &inst,
         SolverKind::Exact,
         MarketTopology::Monolithic,
-        PaymentStrategy::Incremental,
         par::Pool::auto(),
     );
     let mut table = Table::new(vec![
@@ -91,13 +89,7 @@ fn main() {
         MarketTopology::Sharded { count: 4 },
         MarketTopology::Sharded { count: 64 },
     ] {
-        let round = solve_sharded_on(
-            &inst,
-            SolverKind::Exact,
-            topology,
-            PaymentStrategy::Incremental,
-            par::Pool::auto(),
-        );
+        let round = solve_sharded_on(&inst, SolverKind::Exact, topology, par::Pool::auto());
         let identical = round.solution.selected == mono.solution.selected
             && round.solution.objective.to_bits() == mono.solution.objective.to_bits()
             && round
@@ -123,13 +115,7 @@ fn main() {
         i
     };
     let kind = SolverKind::Knapsack { grid: 512 };
-    let mono = solve_sharded_on(
-        &inst,
-        kind,
-        MarketTopology::Monolithic,
-        PaymentStrategy::Incremental,
-        par::Pool::auto(),
-    );
+    let mono = solve_sharded_on(&inst, kind, MarketTopology::Monolithic, par::Pool::auto());
     let mut table = Table::new(vec![
         "topology".into(),
         "winners".into(),
@@ -144,13 +130,7 @@ fn main() {
         MarketTopology::Sharded { count: 16 },
         MarketTopology::Sharded { count: 64 },
     ] {
-        let round = solve_sharded_on(
-            &inst,
-            kind,
-            topology,
-            PaymentStrategy::Incremental,
-            par::Pool::auto(),
-        );
+        let round = solve_sharded_on(&inst, kind, topology, par::Pool::auto());
         table.row(vec![
             topology_label(topology),
             round.solution.selected.len().to_string(),
@@ -174,13 +154,7 @@ fn main() {
     };
     let topology = MarketTopology::Sharded { count: 64 };
     let start = Instant::now();
-    let round = solve_sharded_on(
-        &inst,
-        kind,
-        topology,
-        PaymentStrategy::Incremental,
-        par::Pool::auto(),
-    );
+    let round = solve_sharded_on(&inst, kind, topology, par::Pool::auto());
     let elapsed = start.elapsed();
     let peak_shard = round.shard_stats.iter().map(|s| s.size).max().unwrap_or(0);
     let provisional: f64 = round.shard_stats.iter().map(|s| s.pivot_mass).sum();

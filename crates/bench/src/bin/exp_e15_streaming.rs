@@ -12,7 +12,6 @@
 //! golden-pinnable with no masked columns.
 
 use bench::{header, scale_scenario};
-use ingest::driver::{StreamDriver, VirtualTimeDriver};
 use ingest::{Backpressure, IngestConfig, LateBidPolicy};
 use lovm_core::lovm::{Lovm, LovmConfig};
 use lovm_core::simulation::simulate;
@@ -159,7 +158,7 @@ fn main() {
                 capacity,
                 ..IngestConfig::default()
             };
-            let run = VirtualTimeDriver.drive(stream, rounds, &cfg);
+            let run = ingest::drive(stream, rounds, &cfg);
             table.row(vec![
                 stream_label.into(),
                 bp_label.into(),

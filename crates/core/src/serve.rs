@@ -21,9 +21,8 @@
 //! [`MarketServer`] wraps sessions in a zero-dependency
 //! `std::net::TcpListener` accept loop: one thread per connection, each
 //! connection a reader-producer feeding a bounded `mpsc` channel into
-//! the market loop (the same producer/consumer discipline as
-//! `ingest::ThreadedDriver` — a disconnected peer is a graceful stop,
-//! never a panic). Many sessions run concurrently, each with its own
+//! the market loop (a disconnected peer is a graceful stop, never a
+//! panic). Many sessions run concurrently, each with its own
 //! journal file keyed by the client-chosen session name.
 //!
 //! **Replication.** A connection that says `follow` instead of `hello`
@@ -903,8 +902,8 @@ fn handle_connection(
     let reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     // The reader half is its own producer thread feeding a bounded
-    // channel, mirroring `ingest::ThreadedDriver`: when the market loop
-    // goes away the send fails and the producer stops — gracefully.
+    // channel: when the market loop goes away the send fails and the
+    // producer stops — gracefully.
     let (tx, rx) = mpsc::sync_channel::<Result<Request, String>>(cfg.ingest.capacity.min(4096));
     std::thread::spawn(move || {
         for line in reader.lines() {

@@ -27,7 +27,8 @@
 //! Determinism: the queue drains in `(time, seq)` order, sealed bids are
 //! sorted by bidder, and every count derives from timestamps — so a given
 //! offered sequence produces bit-identical sealed rounds and stats no
-//! matter which driver (virtual-time or threaded) delivered it.
+//! matter who delivered it (the virtual-time driver, the server, or a
+//! journal replay).
 
 use crate::buffer::{Admission, ArrivalBuffer};
 use crate::clock::{RoundSchedule, VirtualClock};
@@ -143,10 +144,9 @@ impl RoundCollector {
         Self::with_capacity(cfg, cfg.capacity)
     }
 
-    /// [`RoundCollector::new`] with an explicit buffer capacity — the
-    /// threaded driver passes `usize::MAX` because its bounded channel
-    /// already is the buffer.
-    pub fn with_capacity(cfg: &IngestConfig, capacity: usize) -> Self {
+    /// [`RoundCollector::new`] with an explicit buffer capacity (what
+    /// [`RoundCollector::restore`] rebuilds with).
+    fn with_capacity(cfg: &IngestConfig, capacity: usize) -> Self {
         let schedule = RoundSchedule::new(cfg.round_len, cfg.deadline, cfg.late_policy.grace());
         RoundCollector {
             schedule,
@@ -198,9 +198,9 @@ impl RoundCollector {
         self.offer_at(seq, tb)
     }
 
-    /// Offers one arrival under an explicit sequence number (the threaded
-    /// driver passes each arrival's original stream index so interleaved
-    /// producers reproduce the virtual driver's tie-breaking exactly).
+    /// Offers one arrival under an explicit sequence number (the server
+    /// and journal replay pass the seq each bid was journaled under, so a
+    /// replayed stream reproduces the original tie-breaking exactly).
     /// Mixing `offer_at` with [`RoundCollector::offer`] on one collector
     /// is a caller bug; pick one.
     pub fn offer_at(&mut self, seq: u64, tb: TimedBid) -> Admission {

@@ -259,8 +259,16 @@ impl Config {
     }
 }
 
-fn apply(config: &Config) {
-    let sink = match &config.sink {
+/// Installs `config`. With `only_if_unset`, does nothing once any
+/// configuration is in force: the env snapshot must never overwrite a
+/// [`force_configure`] that ran first. `STATE` is read and written under
+/// the sink lock, so that check and the install are one atomic step.
+fn apply(config: &Config, only_if_unset: bool) {
+    let mut sink = SINK.lock().expect("telemetry sink poisoned");
+    if only_if_unset && STATE.load(Ordering::Relaxed) != 0 {
+        return;
+    }
+    *sink = match &config.sink {
         SinkSpec::None => None,
         SinkSpec::Stderr => Some(Sink::Stderr),
         SinkSpec::Path(path) => Some(Sink::File(
@@ -271,7 +279,6 @@ fn apply(config: &Config) {
                 .unwrap_or_else(|e| panic!("LOVM_TELEMETRY: cannot open `{path}`: {e}")),
         )),
     };
-    *SINK.lock().expect("telemetry sink poisoned") = sink;
     STATE.store(if config.enabled { 1 } else { 2 }, Ordering::Release);
 }
 
@@ -284,11 +291,8 @@ pub fn enabled() -> bool {
         2 => false,
         _ => {
             ENV_INIT.call_once(|| {
-                // Respect a force_configure that raced ahead of us.
-                if STATE.load(Ordering::Relaxed) == 0 {
-                    let value = std::env::var("LOVM_TELEMETRY").ok();
-                    apply(&Config::from_env_value(value.as_deref()));
-                }
+                let value = std::env::var("LOVM_TELEMETRY").ok();
+                apply(&Config::from_env_value(value.as_deref()), true);
             });
             STATE.load(Ordering::Relaxed) == 1
         }
@@ -299,7 +303,7 @@ pub fn enabled() -> bool {
 /// need to flip telemetry within one process (the env snapshot is read
 /// once); production code paths never call this.
 pub fn force_configure(on: bool, sink: SinkSpec) {
-    apply(&Config { enabled: on, sink });
+    apply(&Config { enabled: on, sink }, false);
 }
 
 /// Whether a sink is installed (i.e. emitted lines go somewhere).

@@ -27,6 +27,12 @@ for shards in 1 8; do
     LOVM_SHARDS=$shards LOVM_THREADS=$threads cargo test -q
   done
 done
+# One more whole-suite pass with eight test threads regardless of the
+# machine's core count, so a race between tests that share process-global
+# state (the counting allocator, the telemetry switch) shows up even on a
+# one-CPU box, where libtest would otherwise run them one at a time.
+echo "ci: test pass --test-threads=8"
+cargo test -q -- --test-threads=8
 # One more whole-suite pass with telemetry live: the sink is a real file,
 # so every golden-output and determinism test re-proves the pure-observer
 # contract with recording and emission enabled (the zero-alloc audit also

@@ -126,17 +126,17 @@ fn cost_shader_regret_non_negative_on_all_wdp_combos_vs_brute_force_oracle() {
     // Strategy-regret row for the adversary simulator: a CostShader focal
     // client must never profit from understating cost, under every WDP
     // constraint combo {cardinality cap on/off} × {budget-capped instance
-    // on/off}, with subset enumeration (`SolverKind::Exhaustive` +
-    // `PaymentStrategy::Naive`) as the brute-force oracle. The budgeted
+    // on/off}, with subset enumeration (`SolverKind::Exhaustive` through
+    // the naive payment oracle `naive_vcg`) as the brute-force oracle. The budgeted
     // combos use a slack budget: a *binding* cost knapsack makes the
     // feasible set report-dependent, which is outside the DSIC theorem's
     // scope (same regime note as e16 and the full-horizon probe below).
     use simrng::rngs::StdRng;
     use simrng::{RngExt, SeedableRng};
     use sustainable_fl::advsim::{single_round_regret, Strategy};
+    use sustainable_fl::auction::properties::naive_vcg;
     use sustainable_fl::auction::{
-        AuctionOutcome, Bid, ClientValue, PaymentStrategy, SolverKind, Valuation, VcgAuction,
-        VcgConfig,
+        AuctionOutcome, Bid, ClientValue, SolverKind, Valuation, VcgAuction, VcgConfig,
     };
 
     let valuation = Valuation::Linear(ClientValue {
@@ -176,12 +176,11 @@ fn cost_shader_regret_non_negative_on_all_wdp_combos_vs_brute_force_oracle() {
             // unbudgeted rows, exact budget solve for the budgeted ones).
             let prod = |b: &[Bid]| -> AuctionOutcome {
                 if budgeted {
-                    auction.run_with_budget_strategy_on(
+                    auction.run_with_budget_on(
                         b,
                         &valuation,
                         slack_budget,
                         SolverKind::Exact,
-                        PaymentStrategy::Incremental,
                         par::Pool::serial(),
                     )
                 } else {
@@ -192,13 +191,12 @@ fn cost_shader_regret_non_negative_on_all_wdp_combos_vs_brute_force_oracle() {
             // pivot from scratch. A slack budget is a no-op constraint, so
             // the same closure is the oracle for all four combos.
             let brute = |b: &[Bid]| -> AuctionOutcome {
-                auction.run_with_budget_strategy_on(
+                naive_vcg(
+                    &auction,
                     b,
                     &valuation,
-                    slack_budget,
+                    Some(slack_budget),
                     SolverKind::Exhaustive,
-                    PaymentStrategy::Naive,
-                    par::Pool::serial(),
                 )
             };
             // Oracle agreement at the truthful profile.
