@@ -66,6 +66,4 @@ pub use sealed::SealedRound;
 pub use shard::MarketTopology;
 pub use valuation::{ClientValue, Valuation};
 pub use vcg::{RoundScratch, VcgAuction, VcgConfig};
-pub use wdp::{
-    solve, solve_view, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS,
-};
+pub use wdp::{solve, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView, DP_EPS};

@@ -21,13 +21,17 @@
 //! engine never sums welfare from precomputed aggregates — it determines
 //! the reduced instance's *selected set* incrementally and then recomputes
 //! the objective exactly the way [`crate::wdp`] does: canonical
-//! ascending-index order, left-to-right float adds, identical candidate
-//! filter / grid rounding / budget-repair code. The differential suite
-//! (`tests/pivot_equivalence.rs`) pins this across all four constraint
-//! combinations. Solver kinds the engine has no incremental formulation
-//! for (exhaustive, greedy, or instances crossing the exhaustive-dispatch
-//! size boundary) transparently fall back to the naive re-solve,
-//! preserving the contract trivially.
+//! ascending-index order, left-to-right float adds. The budgeted merge
+//! runs the solver's own DP body — the arena's candidate lanes and grid
+//! rounding, the one item-step kernel, the one traceback walk, and the
+//! budget repair. The differential suite (`tests/pivot_equivalence.rs`)
+//! pins this across all four constraint combinations, against the naive
+//! re-solve on the arena and end to end against
+//! [`crate::properties::naive_vcg`], which re-solves on the frozen
+//! reference kernels. Solver kinds the engine has no incremental
+//! formulation for (exhaustive, greedy, or instances crossing the
+//! exhaustive-dispatch size boundary) fall back to the naive re-solve on
+//! the arena, preserving the contract trivially.
 //!
 //! Scope of the guarantee: the top-K path is unconditionally bit-identical
 //! (a stable sort makes every reduced order a splice of the full one, ties
@@ -42,9 +46,8 @@
 //! sets the welfares and payments need no longer agree at all.
 
 use crate::wdp::{
-    fill_preference_order, knapsack_cell, knapsack_gcost, knapsack_item_step_1d,
-    knapsack_item_step_2d, knapsack_width_2d, repair_overspend, solve_view, FlagTable, LooScratch,
-    SolverArena, SolverKind, WdpInstance, WdpView, DP_EPS,
+    fill_preference_order, knapsack_step, knapsack_walk, repair_overspend, LooScratch, SolverArena,
+    SolverKind, WdpInstance, WdpView, DP_EPS,
 };
 
 /// Which engine computes `W*₋ᵢ` pivot welfares. Production rounds always
@@ -163,11 +166,16 @@ pub(crate) fn incremental_loo_view_into(
     }
 }
 
-/// The reference engine: one full re-solve per excluded target, each on an
-/// allocation-free skip view (bit-identical to re-solving the materialized
-/// `without_item` clone — same item sequence, same float order).
+/// The naive engine: one full arena re-solve per excluded target, each on
+/// an allocation-free skip view (bit-identical to re-solving the
+/// materialized `without_item` clone — same item sequence, same float
+/// order).
 fn naive_loo(view: &WdpView<'_>, targets: &[usize], kind: SolverKind, pool: par::Pool) -> Vec<f64> {
-    pool.map(targets, |&i| solve_view(&view.skipping(i), kind).objective)
+    pool.map(targets, |&i| {
+        SolverArena::new()
+            .solve_view(&view.skipping(i), kind)
+            .objective
+    })
 }
 
 /// Incremental engine for instances without a budget constraint.
@@ -269,15 +277,10 @@ fn merge_loo(
     arena: &mut SolverArena,
     out: &mut Vec<f64>,
 ) {
-    let budget = view.budget().expect("merge engine requires a budget");
-    assert!(grid >= 1, "grid must be at least 1");
-    for i in view.indices() {
-        let it = view.item(i);
-        assert!(
-            it.cost.is_finite() && it.cost >= 0.0,
-            "knapsack requires non-negative finite costs"
-        );
-    }
+    // The reduced instance drops one candidate, so its DP geometry is
+    // computed from m − 1 candidates — identical for every target.
+    let (budget, geometry) = arena.load_knapsack_lanes(view, grid, 1);
+    let (kmax, width) = geometry;
     let SolverArena {
         cand,
         gcosts,
@@ -291,38 +294,12 @@ fn merge_loo(
         loo,
         ..
     } = arena;
-    // Same filter as `wdp::knapsack_candidates`, into the arena's SoA
-    // lane — both engines must see the exact same item roster.
-    cand.clear();
-    cand.extend(
-        view.indices()
-            .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12),
-    );
     let m = cand.len();
-
-    // The reduced instance drops one candidate, so its DP geometry is
-    // computed from m − 1 candidates — identical for every target.
-    let loo_len = m.saturating_sub(1);
-    let (kmax, width) = match view.max_winners() {
-        None => (None, grid + 1),
-        Some(k) => {
-            let km = k.min(loo_len);
-            (Some(km), knapsack_width_2d(loo_len, km, grid))
-        }
-    };
     let rows = kmax.map_or(1, |k| k + 1);
     let grid_eff = width - 1;
-    let cell = knapsack_cell(budget, grid_eff);
-    gcosts.clear();
-    gcosts.extend(
-        cand.iter()
-            .map(|&i| knapsack_gcost(view.item(i).cost, budget, cell, grid_eff)),
-    );
-    weights.clear();
-    weights.extend(cand.iter().map(|&i| view.item(i).weight));
 
     // Table-size guard: past this the snapshot/flag memory outweighs the
-    // saved solves, so hand the job back to the reference engine.
+    // saved solves, so hand the job back to the naive engine.
     snap_pos.clear();
     snap_pos.extend(targets.iter().filter_map(|&t| cand.binary_search(&t).ok()));
     snap_pos.sort_unstable();
@@ -337,10 +314,12 @@ fn merge_loo(
     // Any target that is not a knapsack candidate leaves the DP unchanged:
     // its reduced optimum is the full optimum (computed over the same
     // candidate roster, hence the same floats). Cold path — LOVM targets
-    // are winners, which are always candidates — so the extra legacy
-    // solve's allocations don't touch the steady state.
+    // are winners, which are always candidates — so the fresh arena's
+    // allocations don't touch the steady state.
     let full_objective = if targets.iter().any(|&t| cand.binary_search(&t).is_err()) {
-        solve_view(view, SolverKind::Knapsack { grid }).objective
+        SolverArena::new()
+            .solve_view(view, SolverKind::Knapsack { grid })
+            .objective
     } else {
         0.0
     };
@@ -366,7 +345,7 @@ fn merge_loo(
         if let Ok(s) = snap_pos.binary_search(&t) {
             fwd_snap[s * cells..(s + 1) * cells].copy_from_slice(dp);
         }
-        sat = knapsack_step(dp, fwd_taken, t, gcosts[t], weights[t], kmax, sat);
+        sat = knapsack_step(dp, fwd_taken, t, geometry, gcosts[t], weights[t], sat);
     }
     bwd_taken.reset(m, cells);
     bwd_snap.clear();
@@ -378,7 +357,7 @@ fn merge_loo(
         if let Ok(s) = snap_pos.binary_search(&t) {
             bwd_snap[s * cells..(s + 1) * cells].copy_from_slice(dp);
         }
-        sat = knapsack_step(dp, bwd_taken, t, gcosts[t], weights[t], kmax, sat);
+        sat = knapsack_step(dp, bwd_taken, t, geometry, gcosts[t], weights[t], sat);
     }
 
     // Per-target merge: pick the best prefix/suffix split of the budget
@@ -431,73 +410,31 @@ fn merge_loo(
             // combined vector is in the naive reconstruction's descending
             // item order.
             scratch.selected.clear();
-            {
-                let mut j = rows - 1 - bj1;
-                let mut c = grid_eff - bc1;
-                for q in (p + 1)..m {
-                    if kmax.is_some() && j == 0 {
-                        break;
-                    }
-                    let row = if kmax.is_some() { j } else { 0 };
-                    if bwd_taken.get(q, row * width + c) {
-                        scratch.selected.push(cand[q]);
-                        c -= gcosts[q];
-                        j = j.saturating_sub(1);
-                    }
-                }
-                scratch.selected.reverse();
-            }
-            {
-                let mut j = bj1;
-                let mut c = bc1;
-                for q in (0..p).rev() {
-                    if kmax.is_some() && j == 0 {
-                        break;
-                    }
-                    let row = if kmax.is_some() { j } else { 0 };
-                    if fwd_taken.get(q, row * width + c) {
-                        scratch.selected.push(cand[q]);
-                        c -= gcosts[q];
-                        j = j.saturating_sub(1);
-                    }
-                }
-            }
+            knapsack_walk(
+                bwd_taken,
+                (p + 1)..m,
+                cand,
+                gcosts,
+                geometry,
+                (rows - 1 - bj1, grid_eff - bc1),
+                &mut scratch.selected,
+            );
+            scratch.selected.reverse();
+            knapsack_walk(
+                fwd_taken,
+                (0..p).rev(),
+                cand,
+                gcosts,
+                geometry,
+                (bj1, bc1),
+                &mut scratch.selected,
+            );
             repair_overspend(view, &mut scratch.selected, budget, &mut scratch.repair);
             // Canonical objective: ascending-index, left-to-right sum.
             scratch.selected.sort_unstable();
             scratch.selected.iter().map(|&i| view.item(i).weight).sum()
         }
     });
-}
-
-/// One knapsack DP item update (shared by both sweeps): the classic
-/// reverse-cell relaxation, with a count dimension when `kmax` is set.
-/// Identical update rule and epsilon to `wdp::knapsack`, executed through
-/// the shared hot kernels (`wdp::knapsack_item_step_{1d,2d}`: saturated
-/// high-span splat, branchy compare span, word-grouped traceback bits).
-/// `sat` is the caller-tracked saturation index (capped running sum of
-/// processed items' grid costs); returns the advanced value.
-fn knapsack_step(
-    dp: &mut [f64],
-    tk: &mut FlagTable,
-    item_row: usize,
-    gcost: usize,
-    weight: f64,
-    kmax: Option<usize>,
-    sat: usize,
-) -> usize {
-    let rows = kmax.map_or(1, |k| k + 1);
-    let width = dp.len() / rows;
-    let grid_eff = width - 1;
-    if gcost > grid_eff {
-        return sat;
-    }
-    let row = tk.row_mut(item_row);
-    match kmax {
-        None => knapsack_item_step_1d(dp, row, 0, gcost, weight, sat),
-        Some(kmax) => knapsack_item_step_2d(dp, row, width, kmax, gcost, weight, sat),
-    }
-    (sat + gcost).min(width - 1)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Executable mechanism-design property checks, plus the naive VCG payment
-//! oracle ([`naive_vcg`]) the differential tests and benches compare the
-//! production payment engine against.
+//! Executable mechanism-design property checks, plus the references the
+//! differential tests and benches hold production code against: the naive
+//! VCG payment oracle ([`naive_vcg`]) and the frozen allocating
+//! winner-determination kernels ([`reference_solve_view`]).
 //!
 //! These are used three ways: in unit/property tests of this crate, in the
 //! integration suite, and by the experiment harness (E4/E5) to *measure*
@@ -8,10 +9,13 @@
 
 use crate::bid::Bid;
 use crate::outcome::AuctionOutcome;
-use crate::pivots::{leave_one_out_welfares_on, PaymentStrategy};
 use crate::valuation::Valuation;
 use crate::vcg::VcgAuction;
-use crate::wdp::{solve, SolverKind};
+use crate::wdp::{
+    exhaustive, greedy_density, knapsack_candidates, knapsack_cell, knapsack_gcost,
+    knapsack_width_2d, preference_order, repair_overspend, RepairScratch, SolverKind, WdpSolution,
+    WdpView, DP_EPS,
+};
 
 /// Checks individual rationality at reported costs: every winner is paid at
 /// least its reported cost (within `tol`).
@@ -113,13 +117,14 @@ pub fn default_factor_grid() -> Vec<f64> {
     ]
 }
 
-/// The naive end-to-end VCG reference: one monolithic [`solve`] of the
-/// auction's instance (budget-capped when `budget` is set), one
-/// from-scratch re-solve per winner for its `W*₋ᵢ`, then the auction's own
-/// Clarke award. [`VcgAuction`]'s incremental payment engine must match it
-/// bit for bit; the differential tests and the `payment_engine` bench rows
-/// hold it to that. The configured topology is ignored, so compare against
-/// monolithic auctions only.
+/// The naive end-to-end VCG reference: one monolithic
+/// [`reference_solve_view`] of the auction's instance (budget-capped when
+/// `budget` is set), one from-scratch reference re-solve per winner for its
+/// `W*₋ᵢ`, then the auction's own Clarke award. [`VcgAuction`]'s
+/// incremental payment engine on the arena must match it bit for bit; the
+/// differential tests and the `payment_engine` bench rows hold it to that.
+/// The configured topology is ignored, so compare against monolithic
+/// auctions only.
 pub fn naive_vcg(
     auction: &VcgAuction,
     bids: &[Bid],
@@ -131,15 +136,174 @@ pub fn naive_vcg(
     if let Some(b) = budget {
         inst = inst.with_budget(b);
     }
-    let sol = solve(&inst, kind);
-    let w_minus = leave_one_out_welfares_on(
-        &inst,
-        &sol.selected,
-        kind,
-        PaymentStrategy::Naive,
-        par::Pool::serial(),
-    );
+    let view = WdpView::full(&inst);
+    let sol = reference_solve_view(&view, kind);
+    let w_minus: Vec<f64> = sol
+        .selected
+        .iter()
+        .map(|&i| reference_solve_view(&view.skipping(i), kind).objective)
+        .collect();
     auction.awards(bids, valuation, &sol, &w_minus)
+}
+
+/// The frozen reference winner determination: the original allocating
+/// top-K and knapsack kernels, kept off the production path so that
+/// `arena_equivalence`, the `_legacy` rows of `bench_solver` and
+/// [`naive_vcg`] compare [`crate::wdp::SolverArena`] against an
+/// implementation that shares none of its DP table, item-step or
+/// traceback code (only the candidate filter, grid rounding and budget
+/// repair, which define the problem being solved). Same dispatch as
+/// `SolverArena::solve_view_into`; `Exhaustive` and `GreedyDensity` have
+/// one implementation, which both call.
+pub fn reference_solve_view(view: &WdpView<'_>, kind: SolverKind) -> WdpSolution {
+    match kind {
+        SolverKind::Exact => match view.budget() {
+            None => top_k(view),
+            Some(_) if view.len() <= 25 => exhaustive(view),
+            Some(_) => knapsack(view, 4000),
+        },
+        SolverKind::Exhaustive => exhaustive(view),
+        SolverKind::Knapsack { grid } => match view.budget() {
+            Some(_) => knapsack(view, grid),
+            None => top_k(view),
+        },
+        SolverKind::GreedyDensity => greedy_density(view),
+    }
+}
+
+/// Exact solver for views without a budget constraint: select the top-K
+/// positive-weight items.
+fn top_k(view: &WdpView<'_>) -> WdpSolution {
+    let k = view.max_winners().unwrap_or(view.len());
+    let mut order = preference_order(view);
+    order.truncate(k);
+    WdpSolution::from_view(view, order)
+}
+
+/// Budget-constrained 0/1 knapsack DP over a discretized cost grid.
+///
+/// Costs are rounded *down* to grid cells (which keeps tight optimal packs
+/// representable) and the reconstructed selection is then repaired to true
+/// feasibility by dropping lowest-density items; with a fine grid the
+/// objective loss is negligible. A cardinality constraint, when present, is
+/// handled by adding a count dimension.
+fn knapsack(view: &WdpView<'_>, grid: usize) -> WdpSolution {
+    let budget = view.budget().expect("knapsack requires a budget");
+    assert!(grid >= 1, "grid must be at least 1");
+    for i in view.indices() {
+        let it = view.item(i);
+        assert!(
+            it.cost.is_finite() && it.cost >= 0.0,
+            "knapsack requires non-negative finite costs"
+        );
+    }
+    let cand: Vec<usize> = knapsack_candidates(view, budget).collect();
+    if cand.is_empty() {
+        return WdpSolution::from_view(view, Vec::new());
+    }
+    let cell = knapsack_cell(budget, grid);
+    let gcost = |i: usize| -> usize { knapsack_gcost(view.item(i).cost, budget, cell, grid) };
+    let width = grid + 1;
+    let selected = match view.max_winners() {
+        // No cardinality cap: 1-D DP over the cost grid. `taken[t][c]`
+        // records that candidate t strictly improved state c; walking
+        // candidates backwards and following the first set flag at the
+        // current state is the standard exact reconstruction.
+        None => {
+            let mut dp = vec![0.0f64; width];
+            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
+            for &i in &cand {
+                let gc = gcost(i);
+                let w = view.item(i).weight;
+                let mut tk = vec![false; width];
+                if gc <= grid {
+                    for c in (gc..width).rev() {
+                        let candidate = dp[c - gc] + w;
+                        if candidate > dp[c] + DP_EPS {
+                            dp[c] = candidate;
+                            tk[c] = true;
+                        }
+                    }
+                }
+                taken.push(tk);
+            }
+            let mut bc = 0usize;
+            for (c, &v) in dp.iter().enumerate() {
+                if v > dp[bc] + DP_EPS {
+                    bc = c;
+                }
+            }
+            let mut selected = Vec::new();
+            let mut c = bc;
+            for t in (0..cand.len()).rev() {
+                if taken[t][c] {
+                    let i = cand[t];
+                    selected.push(i);
+                    c -= gcost(i);
+                }
+            }
+            selected
+        }
+        // Cardinality cap: add a count dimension. Memory is
+        // O(items · k · grid) bits, so cap the table size and coarsen the
+        // grid if an absurd combination is requested.
+        Some(k) => {
+            let kmax = k.min(cand.len());
+            let width = knapsack_width_2d(cand.len(), kmax, grid);
+            let grid_eff = width - 1;
+            let cell_eff = knapsack_cell(budget, grid_eff);
+            let gcost_eff = |i: usize| -> usize {
+                knapsack_gcost(view.item(i).cost, budget, cell_eff, grid_eff)
+            };
+            let mut dp = vec![vec![0.0f64; width]; kmax + 1];
+            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
+            for &i in &cand {
+                let gc = gcost_eff(i);
+                let w = view.item(i).weight;
+                let mut tk = vec![false; (kmax + 1) * width];
+                if gc <= grid_eff {
+                    for j in (1..=kmax).rev() {
+                        for c in (gc..width).rev() {
+                            let candidate = dp[j - 1][c - gc] + w;
+                            if candidate > dp[j][c] + DP_EPS {
+                                dp[j][c] = candidate;
+                                tk[j * width + c] = true;
+                            }
+                        }
+                    }
+                }
+                taken.push(tk);
+            }
+            let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
+            for (j, row) in dp.iter().enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    if v > best + DP_EPS {
+                        best = v;
+                        bj = j;
+                        bc = c;
+                    }
+                }
+            }
+            let mut selected = Vec::new();
+            let mut j = bj;
+            let mut c = bc;
+            for t in (0..cand.len()).rev() {
+                if j == 0 {
+                    break;
+                }
+                if taken[t][j * width + c] {
+                    let i = cand[t];
+                    selected.push(i);
+                    c -= gcost_eff(i);
+                    j -= 1;
+                }
+            }
+            selected
+        }
+    };
+    let mut selected = selected;
+    repair_overspend(view, &mut selected, budget, &mut RepairScratch::default());
+    WdpSolution::from_view(view, selected)
 }
 
 /// Checks that total expenditure across rounds stays within `budget` (within

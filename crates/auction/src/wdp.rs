@@ -9,6 +9,13 @@
 //! exact solvers for every constraint combination used by LOVM, plus a
 //! greedy approximation and a fractional upper bound used by baselines and
 //! the experiment harness.
+//!
+//! [`SolverArena`] is the one solver: every caller, [`solve`] included,
+//! runs its dispatch. Its budgeted DP body (candidate filter, item-step
+//! kernel, traceback walk) is shared with the leave-one-out engine in
+//! `crate::pivots`. The original allocating top-K and knapsack kernels
+//! live on as the frozen test and bench reference,
+//! [`crate::properties::reference_solve_view`].
 
 /// Strict-improvement epsilon of every DP/scan comparison in the solver
 /// stack: a candidate value only replaces an incumbent when it exceeds it
@@ -113,7 +120,8 @@ impl WdpInstance {
 /// (optionally minus one skipped item) under the parent's constraints.
 ///
 /// Every solver in this module runs on views; [`solve`] is the
-/// whole-instance wrapper. Views exist for two reasons:
+/// whole-instance wrapper over [`SolverArena::solve_view`]. Views exist
+/// for two reasons:
 ///
 /// * **Leave-one-out pivots** — `WdpView::full(inst).skipping(i)` visits
 ///   the same item sequence as `inst.without_item(i)` with zero
@@ -285,7 +293,7 @@ impl WdpSolution {
     /// objective summed left-to-right over that order. Every solver and the
     /// incremental pivot engine go through this, which is what makes
     /// different derivations of the same selected set bit-identical.
-    fn from_view(view: &WdpView<'_>, mut selected: Vec<usize>) -> Self {
+    pub(crate) fn from_view(view: &WdpView<'_>, mut selected: Vec<usize>) -> Self {
         selected.sort_unstable();
         let objective = selected.iter().map(|&i| view.item(i).weight).sum();
         WdpSolution {
@@ -311,42 +319,11 @@ pub enum SolverKind {
     GreedyDensity,
 }
 
-/// Solves a winner-determination instance ([`solve_view`] on the full
-/// view).
+/// Solves a winner-determination instance on a fresh [`SolverArena`] (see
+/// [`SolverArena::solve_view_into`] for the dispatch). Callers that solve
+/// repeatedly keep one arena instead.
 pub fn solve(inst: &WdpInstance, kind: SolverKind) -> WdpSolution {
-    solve_view(&WdpView::full(inst), kind)
-}
-
-/// Solves a winner-determination sub-instance view. `selected` in the
-/// returned solution holds **parent indices**.
-///
-/// `SolverKind::Exact` dispatches to:
-/// * top-K selection when no budget constraint is present (exact),
-/// * exhaustive search when ≤ 25 items (exact),
-/// * knapsack DP with a fine grid otherwise (exact up to cost rounding;
-///   costs round *down* to grid cells and the selection is then repaired
-///   to true feasibility by dropping lowest-density items, so the returned
-///   selection is always feasible).
-///
-/// # Panics
-///
-/// Panics if `Exhaustive` is requested for more than 25 items, or item
-/// costs are negative/non-finite when a budget constraint is present.
-pub fn solve_view(view: &WdpView<'_>, kind: SolverKind) -> WdpSolution {
-    let _solve_span = solver_kind_hist(kind).span();
-    match kind {
-        SolverKind::Exact => match view.budget() {
-            None => top_k(view),
-            Some(_) if view.len() <= 25 => exhaustive(view),
-            Some(_) => knapsack(view, 4000),
-        },
-        SolverKind::Exhaustive => exhaustive(view),
-        SolverKind::Knapsack { grid } => match view.budget() {
-            Some(_) => knapsack(view, grid),
-            None => top_k(view),
-        },
-        SolverKind::GreedyDensity => greedy_density(view),
-    }
+    SolverArena::new().solve_view(&WdpView::full(inst), kind)
 }
 
 /// The per-`SolverKind` WDP latency histogram (`solve.wdp.<kind>_ns`).
@@ -363,9 +340,9 @@ fn solver_kind_hist(kind: SolverKind) -> &'static telemetry::Histogram {
 
 /// Preference order of the no-budget solver: positive-weight items,
 /// stable-sorted by descending weight (parent indices). Shared with the
-/// incremental pivot engine (`crate::pivots`), whose bit-identity contract
-/// depends on using exactly this filter and comparator — keep the two in
-/// lockstep.
+/// incremental pivot engine (`crate::pivots`), the shard pipeline and the
+/// reference top-K, whose bit-identity contracts depend on using exactly
+/// this filter and comparator.
 pub(crate) fn preference_order(view: &WdpView<'_>) -> Vec<usize> {
     let mut order = Vec::new();
     fill_preference_order(view, &mut order);
@@ -392,17 +369,8 @@ pub(crate) fn fill_preference_order(view: &WdpView<'_>, order: &mut Vec<usize>) 
     });
 }
 
-/// Exact solver for views without a budget constraint: select the top-K
-/// positive-weight items.
-fn top_k(view: &WdpView<'_>) -> WdpSolution {
-    let k = view.max_winners().unwrap_or(view.len());
-    let mut order = preference_order(view);
-    order.truncate(k);
-    WdpSolution::from_view(view, order)
-}
-
 /// Brute-force exact solver.
-fn exhaustive(view: &WdpView<'_>) -> WdpSolution {
+pub(crate) fn exhaustive(view: &WdpView<'_>) -> WdpSolution {
     let n = view.len();
     assert!(n <= 25, "exhaustive solver limited to 25 items, got {n}");
     let members: Vec<usize> = view.indices().collect();
@@ -426,12 +394,16 @@ fn exhaustive(view: &WdpView<'_>) -> WdpSolution {
 }
 
 /// Knapsack candidate filter: positive weight and individually affordable
-/// (parent indices, ascending). Shared by the DP and the incremental pivot
-/// engine (`crate::pivots`) so both see exactly the same item roster.
-pub(crate) fn knapsack_candidates(view: &WdpView<'_>, budget: f64) -> Vec<usize> {
+/// (parent indices, ascending). The one roster every budgeted solve, the
+/// incremental pivot engine (`crate::pivots`) and the reference knapsack
+/// see.
+pub(crate) fn knapsack_candidates<'a>(
+    view: &WdpView<'a>,
+    budget: f64,
+) -> impl Iterator<Item = usize> + 'a {
+    let view = *view;
     view.indices()
-        .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12)
-        .collect()
+        .filter(move |&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12)
 }
 
 /// Grid cell size for a budget discretized into `grid_eff` cells.
@@ -538,132 +510,6 @@ pub(crate) struct RepairScratch {
     dropped: Vec<bool>,
 }
 
-/// Budget-constrained 0/1 knapsack DP over a discretized cost grid.
-///
-/// Costs are rounded *down* to grid cells (which keeps tight optimal packs
-/// representable) and the reconstructed selection is then repaired to true
-/// feasibility by dropping lowest-density items; with a fine grid the
-/// objective loss is negligible. A cardinality constraint, when present, is
-/// handled by adding a count dimension.
-fn knapsack(view: &WdpView<'_>, grid: usize) -> WdpSolution {
-    let budget = view.budget().expect("knapsack requires a budget");
-    assert!(grid >= 1, "grid must be at least 1");
-    for i in view.indices() {
-        let it = view.item(i);
-        assert!(
-            it.cost.is_finite() && it.cost >= 0.0,
-            "knapsack requires non-negative finite costs"
-        );
-    }
-    let cand = knapsack_candidates(view, budget);
-    if cand.is_empty() {
-        return WdpSolution::from_view(view, Vec::new());
-    }
-    let cell = knapsack_cell(budget, grid);
-    let gcost = |i: usize| -> usize { knapsack_gcost(view.item(i).cost, budget, cell, grid) };
-    let width = grid + 1;
-    let selected = match view.max_winners() {
-        // No cardinality cap: 1-D DP over the cost grid. `taken[t][c]`
-        // records that candidate t strictly improved state c; walking
-        // candidates backwards and following the first set flag at the
-        // current state is the standard exact reconstruction.
-        None => {
-            let mut dp = vec![0.0f64; width];
-            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
-            for &i in &cand {
-                let gc = gcost(i);
-                let w = view.item(i).weight;
-                let mut tk = vec![false; width];
-                if gc <= grid {
-                    for c in (gc..width).rev() {
-                        let candidate = dp[c - gc] + w;
-                        if candidate > dp[c] + DP_EPS {
-                            dp[c] = candidate;
-                            tk[c] = true;
-                        }
-                    }
-                }
-                taken.push(tk);
-            }
-            let mut bc = 0usize;
-            for (c, &v) in dp.iter().enumerate() {
-                if v > dp[bc] + DP_EPS {
-                    bc = c;
-                }
-            }
-            let mut selected = Vec::new();
-            let mut c = bc;
-            for t in (0..cand.len()).rev() {
-                if taken[t][c] {
-                    let i = cand[t];
-                    selected.push(i);
-                    c -= gcost(i);
-                }
-            }
-            selected
-        }
-        // Cardinality cap: add a count dimension. Memory is
-        // O(items · k · grid) bits, so cap the table size and coarsen the
-        // grid if an absurd combination is requested.
-        Some(k) => {
-            let kmax = k.min(cand.len());
-            let width = knapsack_width_2d(cand.len(), kmax, grid);
-            let grid_eff = width - 1;
-            let cell_eff = knapsack_cell(budget, grid_eff);
-            let gcost_eff = |i: usize| -> usize {
-                knapsack_gcost(view.item(i).cost, budget, cell_eff, grid_eff)
-            };
-            let mut dp = vec![vec![0.0f64; width]; kmax + 1];
-            let mut taken: Vec<Vec<bool>> = Vec::with_capacity(cand.len());
-            for &i in &cand {
-                let gc = gcost_eff(i);
-                let w = view.item(i).weight;
-                let mut tk = vec![false; (kmax + 1) * width];
-                if gc <= grid_eff {
-                    for j in (1..=kmax).rev() {
-                        for c in (gc..width).rev() {
-                            let candidate = dp[j - 1][c - gc] + w;
-                            if candidate > dp[j][c] + DP_EPS {
-                                dp[j][c] = candidate;
-                                tk[j * width + c] = true;
-                            }
-                        }
-                    }
-                }
-                taken.push(tk);
-            }
-            let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
-            for (j, row) in dp.iter().enumerate() {
-                for (c, &v) in row.iter().enumerate() {
-                    if v > best + DP_EPS {
-                        best = v;
-                        bj = j;
-                        bc = c;
-                    }
-                }
-            }
-            let mut selected = Vec::new();
-            let mut j = bj;
-            let mut c = bc;
-            for t in (0..cand.len()).rev() {
-                if j == 0 {
-                    break;
-                }
-                if taken[t][j * width + c] {
-                    let i = cand[t];
-                    selected.push(i);
-                    c -= gcost_eff(i);
-                    j -= 1;
-                }
-            }
-            selected
-        }
-    };
-    let mut selected = selected;
-    repair_overspend(view, &mut selected, budget, &mut RepairScratch::default());
-    WdpSolution::from_view(view, selected)
-}
-
 /// Bit-packed per-(item, cell) flag matrix backing DP tracebacks, one
 /// `u64` word per 64 cells. Owned by a [`SolverArena`] (or the pivot
 /// engine's sweeps) and recycled via [`FlagTable::reset`] so steady-state
@@ -720,55 +566,52 @@ fn set_bit_span(row: &mut [u64], from: usize, to: usize) {
     }
 }
 
-/// One 0/1-knapsack item step on a 1-D cost-grid DP row, bit-identical to
-/// the textbook descending sweep
-/// `for c in (gc..width).rev() { if dp[c-gc] + w > dp[c] + DP_EPS { … } }`
+/// One 0/1-knapsack item step on one DP plane: the write plane is relaxed
+/// against the read plane, bit-identical to the textbook descending sweep
+/// `for c in (gc..width).rev() { if read[c-gc] + w > write[c] + DP_EPS { … } }`
 /// but restructured for the hot path:
 ///
-/// * **Saturated span.** `dp` is constant (bitwise) for `c >= sat`, where
-///   `sat` is the capped running sum of processed items' grid costs: above
-///   the reachable cost prefix every state holds the same "take
-///   everything so far" value. For `c >= sat + gc` both `dp[c-gc]` and
-///   `dp[c]` are that constant, so the comparison has one answer for the
-///   whole span — evaluate it once, then splat-store the (identical)
-///   updated value and word-fill the traceback bits. Same comparison on
-///   the same bits as the per-cell loop, so the DP trajectory is
-///   unchanged.
+/// * **Saturated span.** Each plane is constant (bitwise) for `c >= sat`,
+///   where `sat` is the capped running sum of processed items' grid costs:
+///   above the reachable cost prefix every state holds the same "take
+///   everything so far" value. For `c >= sat + gc` both cells of the
+///   comparison are those constants, so it has one answer for the whole
+///   span — evaluate it once, then splat-store the (identical) updated
+///   value and word-fill the traceback bits. Same comparison on the same
+///   bits as the per-cell loop, so the DP trajectory is unchanged.
 /// * **Compare span.** Below the saturation point the exact per-cell loop
 ///   runs, with the conditional store kept *branchy* (stores are rare and
 ///   the branch predicts well; an unconditional select-store doubles
 ///   memory traffic and measures ~2× slower here) and traceback bits
 ///   accumulated in a register, one `|=` per 64-cell word.
 ///
-/// `bit_base` offsets the traceback bit index (`bit_base + c`) so the 2-D
-/// solver can pack its `j` planes into one row. Callers that do not track
-/// saturation pass `sat = width` (pure compare span). Returns nothing;
-/// advancing `sat` (`min(sat + gc, width - 1)`) is the caller's job since
-/// it is per-item state, not per-plane.
+/// `planes` runs from the start of the read plane to the end of the write
+/// plane, which starts at `dst`: one plane relaxed in place (`dst = 0`, the
+/// uncounted DP) or plane `j - 1` followed by plane `j` (`dst = width`, the
+/// count-capped DP). Slicing once up front keeps every index visibly in
+/// bounds. The traceback bit of write cell `c` is `bit_base + c`, so the
+/// planes pack into one flag row.
 #[inline]
-pub(crate) fn knapsack_item_step_1d(
-    dp: &mut [f64],
+fn knapsack_item_step(
+    planes: &mut [f64],
     row: &mut [u64],
+    dst: usize,
     bit_base: usize,
     gc: usize,
     w: f64,
     sat: usize,
 ) {
-    let width = dp.len();
+    let width = planes.len() - dst;
     let uni = (sat + gc).min(width);
     if uni < width {
-        // Representative cells: dp[uni] == dp[c] and dp[uni-gc] == dp[c-gc]
-        // for every c in the span (both indices are >= sat).
-        let candidate = dp[uni - gc] + w;
-        if candidate > dp[uni] + DP_EPS {
-            for v in dp[uni..].iter_mut() {
-                *v = candidate;
-            }
+        // Representative cells: both indices are >= sat.
+        let candidate = planes[uni - gc] + w;
+        if candidate > planes[dst + uni] + DP_EPS {
+            planes[dst + uni..].fill(candidate);
             set_bit_span(row, bit_base + uni, bit_base + width);
         }
     }
-    // Exact per-cell sweep over (gc..uni), highest cells first (the same
-    // order the one-piece legacy loop visits them in).
+    // Exact per-cell sweep over (gc..uni), highest cells first.
     let mut upper = uni;
     while upper > gc {
         let word = (bit_base + upper - 1) >> 6;
@@ -776,9 +619,9 @@ pub(crate) fn knapsack_item_step_1d(
         let lower = gc.max(base.saturating_sub(bit_base));
         let mut bits = row[word];
         for c in (lower..upper).rev() {
-            let candidate = dp[c - gc] + w;
-            if candidate > dp[c] + DP_EPS {
-                dp[c] = candidate;
+            let candidate = planes[c - gc] + w;
+            if candidate > planes[dst + c] + DP_EPS {
+                planes[dst + c] = candidate;
                 bits |= 1u64 << (bit_base + c - base);
             }
         }
@@ -787,50 +630,59 @@ pub(crate) fn knapsack_item_step_1d(
     }
 }
 
-/// One item step of the count-capped 2-D knapsack DP (`dp` is `kmax + 1`
-/// row-major planes of `width` cells; plane `j` reads plane `j - 1`).
-/// Descending `j` so every read sees pre-item state, each plane stepped by
-/// [`knapsack_item_step_1d`] against its predecessor. The saturation
-/// invariant holds per plane with the same shared `sat` (the constraint
-/// `cost <= c` is vacuous above the reachable prefix in every plane).
-#[inline]
-pub(crate) fn knapsack_item_step_2d(
+/// Adds candidate `item` (grid cost `gc`, weight `w`) to a knapsack DP of
+/// `geometry = (kmax, width)`: one [`knapsack_item_step`] per plane, planes
+/// descending so every read sees pre-item state, flags into row `item` of
+/// `taken`. An unaffordable item (`gc` past the grid) leaves the table and
+/// its all-zero flag row untouched. The saturation invariant holds in
+/// every plane with the shared `sat` (the constraint `cost <= c` is vacuous
+/// above the reachable prefix); returns it advanced past this item.
+pub(crate) fn knapsack_step(
     dp: &mut [f64],
-    row: &mut [u64],
-    width: usize,
-    kmax: usize,
+    taken: &mut FlagTable,
+    item: usize,
+    (kmax, width): (Option<usize>, usize),
     gc: usize,
     w: f64,
     sat: usize,
+) -> usize {
+    if gc >= width {
+        return sat;
+    }
+    let row = taken.row_mut(item);
+    // Without a count cap the single plane relaxes in place; with one,
+    // plane j reads plane j - 1 and plane 0 (no winners) stays zero.
+    let (rows, lag) = kmax.map_or((1, 0), |k| (k + 1, 1));
+    for j in (lag..rows).rev() {
+        let planes = &mut dp[(j - lag) * width..(j + 1) * width];
+        knapsack_item_step(planes, row, lag * width, j * width, gc, w, sat);
+    }
+    (sat + gc).min(width - 1)
+}
+
+/// Traceback walk: visits candidate positions in `positions` order from
+/// state `(plane, cell)` and pushes `cand[q]` whenever its flag is set at
+/// the current state, stepping the state back by its grid cost (and by one
+/// winner when the table counts them; such a walk stops once no winner is
+/// left).
+pub(crate) fn knapsack_walk(
+    taken: &FlagTable,
+    positions: impl Iterator<Item = usize>,
+    cand: &[usize],
+    gcosts: &[usize],
+    (kmax, width): (Option<usize>, usize),
+    (mut j, mut c): (usize, usize),
+    selected: &mut Vec<usize>,
 ) {
-    for j in (1..=kmax).rev() {
-        let (below, plane) = dp[(j - 1) * width..(j + 1) * width].split_at_mut(width);
-        let uni = (sat + gc).min(width);
-        let bit_base = j * width;
-        if uni < width {
-            let candidate = below[uni - gc] + w;
-            if candidate > plane[uni] + DP_EPS {
-                for v in plane[uni..].iter_mut() {
-                    *v = candidate;
-                }
-                set_bit_span(row, bit_base + uni, bit_base + width);
-            }
+    let lag = usize::from(kmax.is_some());
+    for q in positions {
+        if lag == 1 && j == 0 {
+            break;
         }
-        let mut upper = uni;
-        while upper > gc {
-            let word = (bit_base + upper - 1) >> 6;
-            let base = word << 6;
-            let lower = gc.max(base.saturating_sub(bit_base));
-            let mut bits = row[word];
-            for c in (lower..upper).rev() {
-                let candidate = below[c - gc] + w;
-                if candidate > plane[c] + DP_EPS {
-                    plane[c] = candidate;
-                    bits |= 1u64 << (bit_base + c - base);
-                }
-            }
-            row[word] = bits;
-            upper = lower;
+        if taken.get(q, j * width + c) {
+            selected.push(cand[q]);
+            c -= gcosts[q];
+            j -= lag;
         }
     }
 }
@@ -847,15 +699,17 @@ pub(crate) struct LooScratch {
 /// Reusable solver workspace: flat DP rows, a bit-packed traceback, and
 /// struct-of-arrays candidate lanes, all recycled across solves.
 ///
-/// The arena path computes **bit-identical** results to the free-function
-/// solvers ([`solve_view`]): it keeps the exact
+/// The arena is the only production solver: [`solve`], the baselines, the
+/// offline oracle and every auction round run its dispatch. It computes
+/// **bit-identical** results to the frozen allocating reference kernels
+/// ([`crate::properties::reference_solve_view`]): it keeps the exact
 /// `dp[c - gc] + w > dp[c] + DP_EPS` comparison, the same cell iteration
 /// order, and the same ascending-index reconstruction — it only
 /// restructures *where the bytes live and how the iteration space is
 /// walked* (SoA lanes walked contiguously, the per-candidate `gc <= grid`
 /// test hoisted out of the cell loop, the saturated high-cost span
 /// collapsed to one representative comparison, traceback bits accumulated
-/// per 64-cell word — see [`knapsack_item_step_1d`]). The
+/// per 64-cell word — see [`knapsack_item_step`]). The
 /// `arena_equivalence` differential suite pins that contract.
 ///
 /// Reuse contract: keep one arena per worker. Serial callers
@@ -872,7 +726,7 @@ pub struct SolverArena {
     pub(crate) gcosts: Vec<usize>,
     /// Selection weights, parallel to `cand`.
     pub(crate) weights: Vec<f64>,
-    /// Flat DP value table (`rows * width` for the 2-D solver).
+    /// Flat DP value table (`rows * width`, one plane per winner count).
     pub(crate) dp: Vec<f64>,
     taken: FlagTable,
     /// Preference order for top-K solves.
@@ -902,14 +756,26 @@ impl SolverArena {
         out
     }
 
-    /// Solves a view into a caller-recycled solution, bit-identical to
-    /// [`solve_view`] (same dispatch, same floats).
+    /// Solves a winner-determination view into a caller-recycled solution.
+    /// `selected` holds **parent indices**.
+    ///
+    /// `SolverKind::Exact` dispatches to:
+    /// * top-K selection when no budget constraint is present (exact),
+    /// * exhaustive search when ≤ 25 items (exact),
+    /// * knapsack DP with a fine grid otherwise (exact up to cost rounding;
+    ///   costs round *down* to grid cells and the selection is then repaired
+    ///   to true feasibility by dropping lowest-density items, so the
+    ///   returned selection is always feasible).
     ///
     /// The hot dispatches (top-K and knapsack — everything a LOVM round
     /// can hit) run entirely on arena buffers: zero heap allocations once
     /// `self` and `out` have warmed up. `Exhaustive` and `GreedyDensity`
-    /// are cold experiment/baseline paths and delegate to the allocating
-    /// free functions.
+    /// are cold experiment/baseline paths and allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Exhaustive` is requested for more than 25 items, or item
+    /// costs are negative/non-finite when a budget constraint is present.
     pub fn solve_view_into(&mut self, view: &WdpView<'_>, kind: SolverKind, out: &mut WdpSolution) {
         // Per-`SolverKind` latency span; inert (no clock read) unless
         // telemetry is enabled. Handles live in leaked statics, so the
@@ -918,20 +784,20 @@ impl SolverArena {
         match kind {
             SolverKind::Exact => match view.budget() {
                 None => self.top_k_into(view, out),
-                Some(_) if view.len() <= 25 => copy_solution(exhaustive(view), out),
+                Some(_) if view.len() <= 25 => *out = exhaustive(view),
                 Some(_) => self.knapsack_into(view, 4000, out),
             },
-            SolverKind::Exhaustive => copy_solution(exhaustive(view), out),
+            SolverKind::Exhaustive => *out = exhaustive(view),
             SolverKind::Knapsack { grid } => match view.budget() {
                 Some(_) => self.knapsack_into(view, grid, out),
                 None => self.top_k_into(view, out),
             },
-            SolverKind::GreedyDensity => copy_solution(greedy_density(view), out),
+            SolverKind::GreedyDensity => *out = greedy_density(view),
         }
     }
 
-    /// Arena twin of `top_k`: preference order into the recycled `order`
-    /// lane, truncate to K, canonicalize.
+    /// Exact solver without a budget constraint: the top-K positive-weight
+    /// items, from the preference order in the recycled `order` lane.
     fn top_k_into(&mut self, view: &WdpView<'_>, out: &mut WdpSolution) {
         let k = view.max_winners().unwrap_or(view.len());
         fill_preference_order(view, &mut self.order);
@@ -941,9 +807,19 @@ impl SolverArena {
         finish_canonical(view, out);
     }
 
-    /// Arena twin of `knapsack`: SoA lanes + flat tables + branchless
-    /// inner loops, same floats in the same order.
-    fn knapsack_into(&mut self, view: &WdpView<'_>, grid: usize, out: &mut WdpSolution) {
+    /// Validates a budgeted view and loads the knapsack lanes: the
+    /// candidate roster, its weights, and its grid costs under the table
+    /// geometry of a roster `dropped` candidates shorter (0 for a solve; 1
+    /// for the leave-one-out engine, whose reduced instances each lack one
+    /// candidate). Returns the budget and that geometry `(kmax, width)`:
+    /// the winner-count cap of the table (`None` = no count dimension) and
+    /// its cost-grid width.
+    pub(crate) fn load_knapsack_lanes(
+        &mut self,
+        view: &WdpView<'_>,
+        grid: usize,
+        dropped: usize,
+    ) -> (f64, (Option<usize>, usize)) {
         let budget = view.budget().expect("knapsack requires a budget");
         assert!(grid >= 1, "grid must be at least 1");
         for i in view.indices() {
@@ -953,125 +829,75 @@ impl SolverArena {
                 "knapsack requires non-negative finite costs"
             );
         }
-        // Same filter as `knapsack_candidates`, into the recycled lane.
         self.cand.clear();
-        self.cand.extend(
-            view.indices()
-                .filter(|&i| view.item(i).weight > 0.0 && view.item(i).cost <= budget + 1e-12),
+        self.cand.extend(knapsack_candidates(view, budget));
+        let len = self.cand.len().saturating_sub(dropped);
+        let geometry = match view.max_winners() {
+            None => (None, grid + 1),
+            Some(k) => {
+                let kmax = k.min(len);
+                (Some(kmax), knapsack_width_2d(len, kmax, grid))
+            }
+        };
+        let grid_eff = geometry.1 - 1;
+        let cell = knapsack_cell(budget, grid_eff);
+        self.gcosts.clear();
+        self.gcosts.extend(
+            self.cand
+                .iter()
+                .map(|&i| knapsack_gcost(view.item(i).cost, budget, cell, grid_eff)),
         );
-        let m = self.cand.len();
-        if m == 0 {
-            out.selected.clear();
-            finish_canonical(view, out);
-            return;
-        }
         self.weights.clear();
         self.weights
             .extend(self.cand.iter().map(|&i| view.item(i).weight));
-        match view.max_winners() {
-            None => {
-                let width = grid + 1;
-                let cell = knapsack_cell(budget, grid);
-                self.gcosts.clear();
-                self.gcosts.extend(
-                    self.cand
-                        .iter()
-                        .map(|&i| knapsack_gcost(view.item(i).cost, budget, cell, grid)),
-                );
-                self.dp.clear();
-                self.dp.resize(width, 0.0);
-                self.taken.reset(m, width);
-                // `sat`: dp is constant (bitwise) from this index up — the
-                // capped reachable-cost prefix (see knapsack_item_step_1d).
-                let mut sat = 0usize;
-                for t in 0..m {
-                    let gc = self.gcosts[t];
-                    // Hoisted unaffordability test: the legacy loop pushes
-                    // an all-false traceback row in this case; here the
-                    // reset table's row is already zero.
-                    if gc > grid {
-                        continue;
-                    }
-                    knapsack_item_step_1d(
-                        &mut self.dp[..width],
-                        self.taken.row_mut(t),
-                        0,
-                        gc,
-                        self.weights[t],
-                        sat,
-                    );
-                    sat = (sat + gc).min(width - 1);
-                }
-                let mut bc = 0usize;
-                for (c, &v) in self.dp.iter().enumerate() {
-                    if v > self.dp[bc] + DP_EPS {
-                        bc = c;
-                    }
-                }
-                out.selected.clear();
-                let mut c = bc;
-                for t in (0..m).rev() {
-                    if self.taken.get(t, c) {
-                        out.selected.push(self.cand[t]);
-                        c -= self.gcosts[t];
-                    }
-                }
-            }
-            Some(k) => {
-                let kmax = k.min(m);
-                let width = knapsack_width_2d(m, kmax, grid);
-                let grid_eff = width - 1;
-                let cell_eff = knapsack_cell(budget, grid_eff);
-                self.gcosts.clear();
-                self.gcosts.extend(
-                    self.cand
-                        .iter()
-                        .map(|&i| knapsack_gcost(view.item(i).cost, budget, cell_eff, grid_eff)),
-                );
-                let rows = kmax + 1;
-                self.dp.clear();
-                self.dp.resize(rows * width, 0.0);
-                self.taken.reset(m, rows * width);
-                let mut sat = 0usize;
-                for t in 0..m {
-                    let gc = self.gcosts[t];
-                    if gc > grid_eff {
-                        continue;
-                    }
-                    knapsack_item_step_2d(
-                        &mut self.dp[..rows * width],
-                        self.taken.row_mut(t),
-                        width,
-                        kmax,
-                        gc,
-                        self.weights[t],
-                        sat,
-                    );
-                    sat = (sat + gc).min(width - 1);
-                }
-                // Flat row-major scan == legacy's (j outer, c inner) order.
-                let (mut bj, mut bc, mut best) = (0usize, 0usize, 0.0f64);
-                for (idx, &v) in self.dp.iter().enumerate() {
-                    if v > best + DP_EPS {
-                        best = v;
-                        bj = idx / width;
-                        bc = idx % width;
-                    }
-                }
-                out.selected.clear();
-                let (mut j, mut c) = (bj, bc);
-                for t in (0..m).rev() {
-                    if j == 0 {
-                        break;
-                    }
-                    if self.taken.get(t, j * width + c) {
-                        out.selected.push(self.cand[t]);
-                        c -= self.gcosts[t];
-                        j -= 1;
-                    }
-                }
+        (budget, geometry)
+    }
+
+    /// Budget-constrained 0/1 knapsack DP over the discretized cost grid,
+    /// with one plane per winner count when a cardinality cap is present.
+    /// Costs round down to grid cells; the reconstructed selection is then
+    /// repaired to true feasibility.
+    fn knapsack_into(&mut self, view: &WdpView<'_>, grid: usize, out: &mut WdpSolution) {
+        let (budget, geometry) = self.load_knapsack_lanes(view, grid, 0);
+        let (kmax, width) = geometry;
+        let m = self.cand.len();
+        let cells = kmax.map_or(1, |k| k + 1) * width;
+        self.dp.clear();
+        self.dp.resize(cells, 0.0);
+        self.taken.reset(m, cells);
+        // `sat`: every plane is constant (bitwise) from this cell up — the
+        // capped reachable-cost prefix (see knapsack_item_step).
+        let mut sat = 0usize;
+        for t in 0..m {
+            sat = knapsack_step(
+                &mut self.dp,
+                &mut self.taken,
+                t,
+                geometry,
+                self.gcosts[t],
+                self.weights[t],
+                sat,
+            );
+        }
+        // Row-major best-cell scan from cell 0 (plane 0's always-zero state
+        // when counting winners).
+        let (mut best, mut at) = (self.dp[0], 0usize);
+        for (idx, &v) in self.dp.iter().enumerate() {
+            if v > best + DP_EPS {
+                best = v;
+                at = idx;
             }
         }
+        out.selected.clear();
+        knapsack_walk(
+            &self.taken,
+            (0..m).rev(),
+            &self.cand,
+            &self.gcosts,
+            geometry,
+            (at / width, at % width),
+            &mut out.selected,
+        );
         repair_overspend(view, &mut out.selected, budget, &mut self.repair);
         finish_canonical(view, out);
     }
@@ -1085,16 +911,9 @@ pub(crate) fn finish_canonical(view: &WdpView<'_>, out: &mut WdpSolution) {
     out.objective = out.selected.iter().map(|&i| view.item(i).weight).sum();
 }
 
-/// Moves an owned solution into a recycled output slot (cold paths only).
-fn copy_solution(sol: WdpSolution, out: &mut WdpSolution) {
-    out.selected.clear();
-    out.selected.extend_from_slice(&sol.selected);
-    out.objective = sol.objective;
-}
-
 /// Greedy approximation: by weight when only cardinality binds, by
 /// weight/cost density under a budget.
-fn greedy_density(view: &WdpView<'_>) -> WdpSolution {
+pub(crate) fn greedy_density(view: &WdpView<'_>) -> WdpSolution {
     let mut order: Vec<usize> = view
         .indices()
         .filter(|&i| view.item(i).weight > 0.0)
@@ -1135,7 +954,7 @@ fn greedy_density(view: &WdpView<'_>) -> WdpSolution {
 /// present. Used as the denominator in competitive-ratio plots.
 pub fn fractional_upper_bound(inst: &WdpInstance) -> f64 {
     match inst.budget {
-        None => top_k(&WdpView::full(inst)).objective,
+        None => solve(inst, SolverKind::Exact).objective,
         Some(budget) => {
             let mut order: Vec<usize> = (0..inst.items.len())
                 .filter(|&i| inst.items[i].weight > 0.0)
@@ -1326,7 +1145,8 @@ mod tests {
             };
             for idx in 0..n {
                 let cloned = solve(&inst.without_item(idx), kind);
-                let viewed = solve_view(&WdpView::full(&inst).skipping(idx), kind);
+                let viewed =
+                    SolverArena::new().solve_view(&WdpView::full(&inst).skipping(idx), kind);
                 assert_eq!(
                     cloned.objective.to_bits(),
                     viewed.objective.to_bits(),
@@ -1365,7 +1185,8 @@ mod tests {
                 budget: inst.budget,
             };
             let sub_sol = solve(&materialized, SolverKind::Exact);
-            let view_sol = solve_view(&WdpView::of_subset(&inst, &subset), SolverKind::Exact);
+            let view_sol = SolverArena::new()
+                .solve_view(&WdpView::of_subset(&inst, &subset), SolverKind::Exact);
             assert_eq!(
                 sub_sol.objective.to_bits(),
                 view_sol.objective.to_bits(),
@@ -1470,7 +1291,7 @@ mod tests {
             19
         );
         // Cost above the budget grid-rounds past grid_eff, so the DP's
-        // `gc <= grid` guard (and the arena's hoisted twin) skips it.
+        // `gc <= grid` guard (and `knapsack_step`'s hoisted twin) skips it.
         assert!(knapsack_gcost(10.5, budget, cell, grid_eff) > grid_eff);
         // Zero budget: any positive cost is "never fits" = grid_eff + 1,
         // zero cost occupies cell 0.
@@ -1506,7 +1327,7 @@ mod tests {
         assert_eq!(knapsack_width_2d(1 << 22, 1, 1 << 10), 64);
     }
 
-    /// The arena solver matches the legacy free functions bit-for-bit on
+    /// The arena solver matches the reference kernels bit-for-bit on
     /// hand-built boundary instances (the big seeded sweep lives in
     /// tests/arena_equivalence.rs).
     #[test]
@@ -1533,8 +1354,8 @@ mod tests {
         ];
         for inst in &cases {
             for kind in [SolverKind::Exact, SolverKind::Knapsack { grid: 100 }] {
-                let legacy = solve(inst, kind);
                 let view = WdpView::full(inst);
+                let legacy = crate::properties::reference_solve_view(&view, kind);
                 let fresh = arena.solve_view(&view, kind);
                 assert_eq!(legacy.selected, fresh.selected);
                 assert_eq!(legacy.objective.to_bits(), fresh.objective.to_bits());

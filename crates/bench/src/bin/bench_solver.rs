@@ -1,23 +1,25 @@
-//! Solver roofline: the arena-backed branchless knapsack/top-K path
-//! (`auction::wdp::SolverArena`) against the legacy allocating solver
-//! (`auction::wdp::solve_view`), across n × grid × constraint-combo.
+//! Solver roofline: the production solver (`auction::wdp::SolverArena`,
+//! `arena` rows) against the frozen allocating reference kernels
+//! (`auction::properties::reference_solve_view`, `legacy` rows), across
+//! n × grid × constraint-combo, plus the greedy-density baseline kind.
 //!
 //! Every row reports ns/solve (median), DP cells touched per ns, and heap
 //! bytes allocated per solve (counted by a wrapping `#[global_allocator]`,
-//! measured outside the timed region). Before any row is timed, the two
-//! implementations are asserted **bit-identical** on that row's instance —
-//! a benchmark comparing diverging solvers would be meaningless.
+//! measured outside the timed region). Before any legacy/arena pair is
+//! timed, the two implementations are asserted **bit-identical** on that
+//! row's instance — a benchmark comparing diverging solvers would be
+//! meaningless.
 //!
 //! Output contract:
 //! * stdout — one JSON line per benchmark (the `Bencher` contract; the CI
-//!   gate reads `solver/budget_n4096_g4000_{legacy,arena}` median_ns),
+//!   gate reads `solver/budgetcap_n4096_g4000_{legacy,arena}` median_ns),
 //! * stderr — the human roofline table,
-//! * `BENCH_solver.json` — the machine-readable roofline (validated by
-//!   re-parsing with `metrics::json` before the process exits 0).
+//! * `BENCH_solver.json` — the machine-readable roofline, stamped with the
+//!   machine it ran on (core count and CPU model), validated by re-parsing
+//!   with `metrics::json` before the process exits 0.
 
-use auction::wdp::{
-    solve_view, SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView,
-};
+use auction::properties::reference_solve_view;
+use auction::wdp::{SolverArena, SolverKind, WdpInstance, WdpItem, WdpSolution, WdpView};
 use bench::harness::Bencher;
 use metrics::json::JsonValue;
 use simrng::rngs::StdRng;
@@ -95,6 +97,28 @@ fn bytes_per_solve(mut solve: impl FnMut(), reps: u64) -> u64 {
     (ALLOC_BYTES.load(Ordering::Relaxed) - before) / reps
 }
 
+/// The machine a roofline ran on. Absolute timings differ by ~1.5× between
+/// boxes, so the artifact records the core count and the CPU model
+/// (`model name` in `/proc/cpuinfo`, `unknown` where that is unreadable).
+fn machine() -> JsonValue {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| cpu_model(&info))
+        .unwrap_or_else(|| "unknown".to_string());
+    JsonValue::object()
+        .field("cores", cores)
+        .field("cpu_model", cpu_model)
+}
+
+/// The first `model name` value of a `/proc/cpuinfo` text.
+fn cpu_model(cpuinfo: &str) -> Option<String> {
+    cpuinfo.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim().to_string())
+    })
+}
+
 struct Row {
     name: String,
     n: usize,
@@ -122,6 +146,20 @@ fn check_artifact(path: &str) {
         .and_then(JsonValue::as_array)
         .unwrap_or_else(|| panic!("{path}: missing rows array"));
     assert!(!rows.is_empty(), "{path}: empty rows array");
+    let machine = doc
+        .get("machine")
+        .unwrap_or_else(|| panic!("{path}: missing machine fingerprint"));
+    assert!(
+        machine.get("cores").and_then(JsonValue::as_u64).is_some(),
+        "{path}: machine fingerprint missing \"cores\""
+    );
+    assert!(
+        machine
+            .get("cpu_model")
+            .and_then(JsonValue::as_str)
+            .is_some(),
+        "{path}: machine fingerprint missing \"cpu_model\""
+    );
     for row in rows {
         for key in ["bench", "impl", "median_ns", "bytes_per_solve"] {
             assert!(row.get(key).is_some(), "{path}: row missing {key:?}");
@@ -158,7 +196,7 @@ fn main() {
                 let view = WdpView::full(&inst);
 
                 // Bit-identity first; timing a divergent pair is nonsense.
-                let legacy_sol = solve_view(&view, kind);
+                let legacy_sol = reference_solve_view(&view, kind);
                 arena.solve_view_into(&view, kind, &mut out);
                 assert_eq!(legacy_sol.selected, out.selected, "{combo} n={n} g={grid}");
                 assert_eq!(
@@ -172,14 +210,16 @@ fn main() {
                     let bytes = match implementation {
                         "legacy" => bytes_per_solve(
                             || {
-                                black_box(solve_view(&view, kind).objective);
+                                black_box(reference_solve_view(&view, kind).objective);
                             },
                             4,
                         ),
                         _ => bytes_per_solve(|| arena.solve_view_into(&view, kind, &mut out), 4),
                     };
                     let median_ns = match implementation {
-                        "legacy" => bencher.bench(&name, || solve_view(black_box(&view), kind)),
+                        "legacy" => {
+                            bencher.bench(&name, || reference_solve_view(black_box(&view), kind))
+                        }
                         _ => bencher.bench(&name, || {
                             arena.solve_view_into(black_box(&view), kind, &mut out);
                             out.objective
@@ -207,7 +247,7 @@ fn main() {
         let inst = WdpInstance::new(base).with_max_winners(64);
         let view = WdpView::full(&inst);
         let kind = SolverKind::Exact;
-        let legacy_sol = solve_view(&view, kind);
+        let legacy_sol = reference_solve_view(&view, kind);
         arena.solve_view_into(&view, kind, &mut out);
         assert_eq!(legacy_sol.selected, out.selected, "topk n={n}");
         assert_eq!(legacy_sol.objective.to_bits(), out.objective.to_bits());
@@ -216,14 +256,14 @@ fn main() {
             let bytes = match implementation {
                 "legacy" => bytes_per_solve(
                     || {
-                        black_box(solve_view(&view, kind).objective);
+                        black_box(reference_solve_view(&view, kind).objective);
                     },
                     8,
                 ),
                 _ => bytes_per_solve(|| arena.solve_view_into(&view, kind, &mut out), 8),
             };
             let median_ns = match implementation {
-                "legacy" => bencher.bench(&name, || solve_view(black_box(&view), kind)),
+                "legacy" => bencher.bench(&name, || reference_solve_view(black_box(&view), kind)),
                 _ => bencher.bench(&name, || {
                     arena.solve_view_into(black_box(&view), kind, &mut out);
                     out.objective
@@ -241,6 +281,37 @@ fn main() {
                 bytes,
             });
         }
+    }
+
+    // Greedy-density rows on the capped budgeted instances above: the
+    // approximate baseline kind has a single implementation, run here
+    // through the arena's dispatch.
+    for n in [1024usize, 4096] {
+        let base = items(n, 0x50F7_0000 + n as u64);
+        let total_cost: f64 = base.iter().map(|it| it.cost).sum();
+        let inst = WdpInstance::new(base)
+            .with_budget(0.3 * total_cost)
+            .with_max_winners(8);
+        let view = WdpView::full(&inst);
+        let kind = SolverKind::GreedyDensity;
+        let name = format!("greedy_n{n}_arena");
+        let bytes = bytes_per_solve(|| arena.solve_view_into(&view, kind, &mut out), 8);
+        let median_ns = bencher
+            .bench(&name, || {
+                arena.solve_view_into(black_box(&view), kind, &mut out);
+                out.objective
+            })
+            .median_ns;
+        rows.push(Row {
+            name: format!("solver/{name}"),
+            n,
+            grid: 0,
+            combo: "greedy",
+            implementation: "arena",
+            median_ns,
+            cells: 0,
+            bytes,
+        });
     }
 
     // Human roofline table (stderr, like the bench rows themselves).
@@ -297,6 +368,7 @@ fn main() {
     }
     let doc = JsonValue::object()
         .field("schema", "lovm.bench_solver.v1")
+        .field("machine", machine())
         .field("rows", table);
     let text = doc.to_string();
     let parsed = JsonValue::parse(&text).expect("BENCH_solver.json must be valid JSON");

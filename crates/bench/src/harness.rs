@@ -12,6 +12,9 @@
 //! * `LOVM_BENCH_BATCH_NS` — target wall time per sample batch in
 //!   nanoseconds (default 2 ms); iterations per batch are calibrated so a
 //!   sample takes roughly this long even for nanosecond-scale bodies.
+//!
+//! Both must be whole numbers above zero when set; anything else panics
+//! with a message naming the variable.
 
 use metrics::json::JsonValue;
 use metrics::stats::percentile_sorted;
@@ -30,17 +33,27 @@ pub struct BenchConfig {
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        let env_usize = |key: &str, default: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
+        let knob = |name: &str, default: usize| {
+            parse_count(name, std::env::var(name).ok().as_deref(), default)
         };
         Self {
-            samples: env_usize("LOVM_BENCH_SAMPLES", 50),
-            target_batch_ns: env_usize("LOVM_BENCH_BATCH_NS", 2_000_000) as u64,
+            samples: knob("LOVM_BENCH_SAMPLES", 50),
+            target_batch_ns: knob("LOVM_BENCH_BATCH_NS", 2_000_000) as u64,
         }
+    }
+}
+
+/// The decision logic of the bench knobs: unset means `default`, and
+/// anything but a whole number above zero panics rather than silently
+/// running with the default.
+fn parse_count(name: &str, raw: Option<&str>, default: usize) -> usize {
+    let Some(raw) = raw else { return default };
+    match raw.trim().parse::<usize>() {
+        Ok(v) if v > 0 => v,
+        _ => panic!(
+            "{name} must be a whole number above zero (e.g. `{default}`), got `{raw}` \
+             (unset the variable for the default)"
+        ),
     }
 }
 
@@ -199,6 +212,27 @@ mod tests {
         assert!(r.min_ns <= r.median_ns);
         assert!(r.median_ns <= r.p95_ns);
         assert_eq!(b.results().len(), 1);
+    }
+
+    #[test]
+    fn bench_knobs_reject_garbage() {
+        for (name, default) in [
+            ("LOVM_BENCH_SAMPLES", 50),
+            ("LOVM_BENCH_BATCH_NS", 2_000_000),
+        ] {
+            assert_eq!(parse_count(name, None, default), default);
+            assert_eq!(parse_count(name, Some("7"), default), 7);
+            assert_eq!(parse_count(name, Some(" 200000 "), default), 200_000);
+            for bad in ["abc", "", "0", "-1", "1.5", "5x"] {
+                let result = std::panic::catch_unwind(|| parse_count(name, Some(bad), default));
+                let err = result.expect_err(&format!("{name}=`{bad}` must panic"));
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    msg.contains(&format!("{name} must be a whole number above zero")),
+                    "unhelpful panic message for {name}=`{bad}`: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

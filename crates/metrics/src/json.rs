@@ -94,6 +94,7 @@ impl JsonValue {
     /// where parsing gave up, so the caller can truncate and move on.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -192,6 +193,7 @@ impl std::error::Error for JsonParseError {}
 /// Recursive-descent parser over the raw bytes (ASCII structure; string
 /// contents are decoded as UTF-8 with JSON escapes).
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -294,11 +296,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar straight from the input
+                    // `&str`: `pos` only ever advances by ASCII bytes or
+                    // whole scalars, so it sits on a char boundary, and
+                    // decoding reads this scalar alone rather than
+                    // re-validating the rest of the input per character.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("raw control character in string"));
                     }
@@ -690,6 +697,9 @@ mod tests {
     fn parse_string_escapes() {
         let v = JsonValue::parse(r#""a\"b\\c\nd\te\u0001f\u00b5\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd\te\u{1}fµ😀"));
+        // Raw two-, three- and four-byte scalars decode in place.
+        let v = JsonValue::parse("\"µs — 😀!\"").unwrap();
+        assert_eq!(v.as_str(), Some("µs — 😀!"));
     }
 
     #[test]

@@ -122,11 +122,13 @@ awk -v n="$naive_ns" -v i="$incremental_ns" 'BEGIN {
 
 # Smoke the solver roofline in both thread modes and gate the arena-vs-
 # legacy regression: on the capped budgeted n=4096 row (the shape a LOVM
-# round actually solves — budget plus max_winners), the arena-backed
-# branchless DP must stay at least 1.3x faster than the legacy allocating
-# solver. The win is micro-architectural (no per-item traceback allocation,
-# saturated-span skipping, word-packed flags), so one worker is where it
-# must show; LOVM_THREADS only exercises that the bin runs under both.
+# round actually solves — budget plus max_winners), the production arena
+# solver must stay at least 1.3x faster than the frozen allocating
+# reference kernels (auction::properties::reference_solve_view, timed as
+# the `legacy` rows). The win is micro-architectural (no per-item traceback
+# allocation, saturated-span skipping, word-packed flags), so one worker is
+# where it must show; LOVM_THREADS only exercises that the bin runs under
+# both.
 solver_out=""
 for t in 1 4; do
   out=$(LOVM_THREADS=$t LOVM_BENCH_SAMPLES=5 LOVM_BENCH_BATCH_NS=200000 \
